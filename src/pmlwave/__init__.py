@@ -18,7 +18,7 @@ from .mesh import (build_cartesian_mesh, dof_map, homogeneous_material,
                    layered_material)
 from .pml import PmlConfig, damping, damping_strength, stretch, tolerance
 from .quadrature import gauss_legendre_rule, gauss_lobatto_nodes, tensor_basis_tables
-from .timestepper import State, WaveStepper, run
+from .timestepper import WaveStepper, run
 
 __all__ = [
     "ConfigError", "NumericalError",
@@ -29,6 +29,6 @@ __all__ = [
     "build_cartesian_mesh", "dof_map", "homogeneous_material", "layered_material",
     "PmlConfig", "damping", "damping_strength", "stretch", "tolerance",
     "gauss_legendre_rule", "gauss_lobatto_nodes", "tensor_basis_tables",
-    "State", "WaveStepper", "run",
+    "WaveStepper", "run",
 ]
 __version__ = "0.1.0"

@@ -123,8 +123,12 @@ def _coef_at_quad(fn, mesh: MeshQ, basis: BasisQp) -> np.ndarray:
 def assemble_weighted_mass(
     mesh: MeshQ, basis: BasisQp, dofmap: DofMap, weight, element_mask=None
 ) -> sp.csr_matrix:
-    """Mass matrix (weight * u, v)_h on the given space; weight is a callable (x, y)."""
-    coef = _coef_at_quad(weight, mesh, basis)
+    """Mass matrix (weight * u, v)_h on the given space.
+
+    weight is a callable (x, y) or its values at the quadrature points,
+    shape (n_elem, n_q).
+    """
+    coef = _coef_at_quad(weight, mesh, basis) if callable(weight) else weight
     if element_mask is not None:
         coef = coef * element_mask[:, None]
     J = mesh.hx * mesh.hy / 4.0
@@ -196,7 +200,7 @@ def _assemble_boundary(mesh, basis, dof_u, material, pml_cfg, r):
     locs = _edge_locals(p)
     q = basis.quad.nodes
     w = basis.quad.weights
-    rows, cols, vals_v, vals_t = [], [], [], []
+    dofs, blk_v, blk_t = [], [], []
     for e, edge, n_x, n_y in mesh.boundary_edges:
         ox, oy = mesh.elem_origin[e]
         if edge in (0, 2):  # bottom/top: parametrized by x
@@ -211,26 +215,13 @@ def _assemble_boundary(mesh, basis, dof_u, material, pml_cfg, r):
             dval = damping("y", ys, pml_cfg) if pml_cfg is not None else np.zeros_like(ys)
         c = material.wave_speed(xs, ys)
         base = basis.val1d  # traces of the edge DOFs are the 1D cardinal functions
-        blk_v = np.einsum("a,a,ma,na->mn", w, fac * c, base, base) * ds
-        blk_t = np.einsum("a,a,ma,na->mn", w, fac * c * dval, base, base) * ds
-        gdofs = dof_u.cell_dofs[e, locs[edge]]
-        mm, nn = np.meshgrid(gdofs, gdofs, indexing="ij")
-        rows.append(mm.ravel())
-        cols.append(nn.ravel())
-        vals_v.append(blk_v.ravel())
-        vals_t.append(blk_t.ravel())
+        blk_v.append(np.einsum("a,a,ma,na->mn", w, fac * c, base, base) * ds)
+        blk_t.append(np.einsum("a,a,ma,na->mn", w, fac * c * dval, base, base) * ds)
+        dofs.append(dof_u.cell_dofs[e, locs[edge]])
+    dofs = np.array(dofs)
     n = dof_u.n_dofs
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-
-    def build(vals):
-        A = sp.coo_matrix((np.concatenate(vals), (rows, cols)), shape=(n, n)).tocsr()
-        A.sum_duplicates()
-        A.sort_indices()
-        A.eliminate_zeros()
-        return A
-
-    return build(vals_v), build(vals_t)
+    return (_scatter(dofs, dofs, np.array(blk_v), (n, n)),
+            _scatter(dofs, dofs, np.array(blk_t), (n, n)))
 
 
 def assemble_all(
@@ -263,17 +254,15 @@ def assemble_all(
         dy = np.zeros_like(X)
     gam_x, gam_y = gamma_2d(dx, dy)
 
-    J = mesh.hx * mesh.hy / 4.0
     n_u = dof_u.n_dofs
     n_phi = dof_phi.n_dofs
 
-    def mass_u(coef):
-        blocks = np.einsum("q,eq,mq,nq->emn", basis.w2d, coef, basis.val2d, basis.val2d) * J
-        return _scatter(dof_u.cell_dofs, dof_u.cell_dofs, blocks, (n_u, n_u))
+    def mass(dofmap, coef):
+        return assemble_weighted_mass(mesh, basis, dofmap, coef)
 
-    M_u = mass_u(1.0 / kap)
-    M_d1 = mass_u((dx + dy) / kap)
-    M_d0 = mass_u(upsilon_2d(dx, dy) / kap)
+    M_u = mass(dof_u, 1.0 / kap)
+    M_d1 = mass(dof_u, (dx + dy) / kap)
+    M_d0 = mass(dof_u, upsilon_2d(dx, dy) / kap)
     K = assemble_stiffness(mesh, basis, dof_u, lambda x, y: 1.0 / material.rho(x, y))
 
     damped = pml_cfg is not None and pml_cfg.enabled
@@ -290,15 +279,6 @@ def assemble_all(
         G_x = sp.csr_matrix((n_phi, n_u))
         G_y = sp.csr_matrix((n_phi, n_u))
 
-    M_phi_local = np.einsum("q,mq,nq->mn", basis.w2d, basis.val2d, basis.val2d)
-
-    def mass_phid(coef):
-        blocks = np.einsum("q,eq,mq,nq->emn", basis.w2d, coef, basis.val2d, basis.val2d) * J
-        return _scatter(dof_phi.cell_dofs, dof_phi.cell_dofs, blocks, (n_phi, n_phi))
-
-    M_phid_x = mass_phid(dx)
-    M_phid_y = mass_phid(dy)
-
     dirichlet = None
     R_v = R_theta = None
     if r == -1.0:
@@ -306,18 +286,26 @@ def assemble_all(
     elif r < 1.0:
         R_v, R_theta = _assemble_boundary(mesh, basis, dof_u, material, pml_cfg, r)
 
-    for name, A in (("M_u", M_u), ("K", K), ("B_x", B_x), ("G_x", G_x)):
-        if not np.all(np.isfinite(A.data)):
-            raise NumericalError(f"assembled operator {name} contains non-finite entries")
-
-    return Operators(
+    ops = Operators(
         mesh=mesh, basis=basis, material=material, pml_cfg=pml_cfg, r=r,
         dof_u=dof_u, dof_phi=dof_phi,
         M_u=M_u, M_d1=M_d1, M_d0=M_d0, K=K,
         B_x=B_x, B_y=B_y, G_x=G_x, G_y=G_y,
-        M_phi_local=M_phi_local, M_phid_x=M_phid_x, M_phid_y=M_phid_y,
-        R_v=R_v, R_theta=R_theta, dirichlet=dirichlet, jac=J,
+        M_phi_local=np.einsum("q,mq,nq->mn", basis.w2d, basis.val2d, basis.val2d),
+        M_phid_x=mass(dof_phi, dx), M_phid_y=mass(dof_phi, dy),
+        R_v=R_v, R_theta=R_theta, dirichlet=dirichlet, jac=mesh.hx * mesh.hy / 4.0,
     )
+    for name, A in sparse_operators(ops).items():
+        if not np.all(np.isfinite(A.data)):
+            raise NumericalError(f"assembled operator {name} contains non-finite entries")
+    return ops
+
+
+def sparse_operators(ops: Operators) -> dict:
+    """Name -> matrix for every assembled sparse operator; R_v and R_theta when present."""
+    names = ("M_u", "M_d1", "M_d0", "K", "B_x", "B_y", "G_x", "G_y",
+             "M_phid_x", "M_phid_y", "R_v", "R_theta")
+    return {n: getattr(ops, n) for n in names if getattr(ops, n) is not None}
 
 
 def assemble_forcing_spatial(
@@ -445,16 +433,8 @@ def dump_matrices(ops: Operators, out_dir) -> list:
     from scipy.io import mmwrite
 
     os.makedirs(out_dir, exist_ok=True)
-    named = {
-        "M_u": ops.M_u, "M_d1": ops.M_d1, "M_d0": ops.M_d0, "K": ops.K,
-        "B_x": ops.B_x, "B_y": ops.B_y, "G_x": ops.G_x, "G_y": ops.G_y,
-        "M_phid_x": ops.M_phid_x, "M_phid_y": ops.M_phid_y,
-    }
-    if ops.R_v is not None:
-        named["R_v"] = ops.R_v
-        named["R_theta"] = ops.R_theta
     written = []
-    for name, A in named.items():
+    for name, A in sparse_operators(ops).items():
         path = os.path.join(out_dir, f"{name}.mtx")
         mmwrite(path, A)
         written.append(path)

@@ -230,13 +230,6 @@ def dof_map(mesh: MeshQ, p: int, kind: str, gll: np.ndarray | None = None) -> Do
                   node_coords=coords, boundary=np.flatnonzero(on_boundary))
 
 
-def boundary_dofs(dofmap: DofMap, mesh: MeshQ) -> np.ndarray:
-    """Global indices of continuous DOFs whose nodes lie on the domain boundary."""
-    if dofmap.kind != "continuous":
-        raise ValueError("boundary DOFs are defined for the continuous space only")
-    return dofmap.boundary
-
-
 def check_interface_alignment(mesh: MeshQ, material: MaterialField) -> None:
     """Raise ConfigError unless every material interface sits on a mesh line.
 

@@ -110,9 +110,3 @@ def gamma_2d(dx, dy):
 def upsilon_2d(dx, dy):
     """The surviving zeroth-order damping coefficient dx*dy."""
     return dx * dy
-
-
-def theta_2d(u, dx, dy, normal):
-    """Boundary flux modification (dy*u*n_x, dx*u*n_y)."""
-    n_x, n_y = normal
-    return dy * u * n_x, dx * u * n_y

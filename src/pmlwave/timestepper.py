@@ -1,9 +1,17 @@
 """Classical RK4 time integration of the semi-discrete damped wave system.
 
-Each right-hand-side evaluation solves the continuous mass by warm-started
-CG (relative residual 1e-12) and the discontinuous mass exactly through one
-Cholesky factorization of the shared element block. The time loop is
-sequential by contract; dt is fixed for the whole run.
+The evolved state is one flat array y = [u, v, phi_x, phi_y]: u and v hold
+the n_u continuous DOFs each, and phi_x, phi_y hold the auxiliary fields
+only on the live elements, those where d_x or d_y is nonzero at some
+quadrature point. G_eta and the damped phi mass vanish off that layer and
+phi starts at zero, so the dropped entries would stay identically zero;
+undamped runs carry no phi at all.
+
+Each right-hand-side evaluation applies two pre-combined sparse operators,
+solves the continuous mass by warm-started CG (relative residual 1e-12) and
+the discontinuous mass exactly through one Cholesky factorization of the
+shared element block. The time loop is sequential by contract; dt is fixed
+for the whole run.
 """
 
 import math
@@ -12,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
+import scipy.sparse as sp
 
 from .assembly import (
     GaussianPulse,
@@ -26,29 +35,29 @@ from .mesh import elements_in_box
 from .solvers import pcg
 
 
-@dataclass
-class State:
-    """DOF vectors of the four evolved fields at time t."""
+@dataclass(frozen=True)
+class StateView:
+    """Named views u, v, phi_x, phi_y into a flat state vector y at time t."""
 
-    u: np.ndarray
-    v: np.ndarray
-    phi_x: np.ndarray
-    phi_y: np.ndarray
+    y: np.ndarray
+    n_u: int
     t: float = 0.0
 
-    @classmethod
-    def zero(cls, ops: Operators, t: float = 0.0) -> "State":
-        return cls(
-            u=np.zeros(ops.n_u),
-            v=np.zeros(ops.n_u),
-            phi_x=np.zeros(ops.n_phi),
-            phi_y=np.zeros(ops.n_phi),
-            t=t,
-        )
+    @property
+    def u(self) -> np.ndarray:
+        return self.y[:self.n_u]
 
-    def scaled(self, alpha: float) -> "State":
-        return State(alpha * self.u, alpha * self.v,
-                     alpha * self.phi_x, alpha * self.phi_y, self.t)
+    @property
+    def v(self) -> np.ndarray:
+        return self.y[self.n_u:2 * self.n_u]
+
+    @property
+    def phi_x(self) -> np.ndarray:
+        return np.split(self.y[2 * self.n_u:], 2)[0]
+
+    @property
+    def phi_y(self) -> np.ndarray:
+        return np.split(self.y[2 * self.n_u:], 2)[1]
 
 
 @dataclass
@@ -65,12 +74,14 @@ class RunResult:
     times: np.ndarray | None = None
     node_values: np.ndarray | None = None           # recorded node history
     amplitudes: np.ndarray | None = None            # max |u| over watched nodes
-    final_state: "State | None" = None
+    final_state: StateView | None = None
 
 
 def energy_matrices(ops: Operators, box=None):
     """The (mass, stiffness) pair defining E(t): full domain or elements inside box."""
-    mask = None if box is None else elements_in_box(ops.mesh, box).astype(float)
+    if box is None:
+        return ops.M_u, ops.K
+    mask = elements_in_box(ops.mesh, box).astype(float)
     M = assemble_weighted_mass(
         ops.mesh, ops.basis, ops.dof_u,
         lambda x, y: 1.0 / ops.material.kappa(x, y), element_mask=mask,
@@ -82,29 +93,67 @@ def energy_matrices(ops: Operators, box=None):
     return M, K
 
 
-def energy(state: State, M, K) -> float:
+def energy(u: np.ndarray, v: np.ndarray, M, K) -> float:
     """E = (v' M v + u' K u) / 2 for a precomputed matrix pair."""
-    return 0.5 * (float(state.v @ (M @ state.v)) + float(state.u @ (K @ state.u)))
+    return 0.5 * (float(v @ (M @ v)) + float(u @ (K @ u)))
+
+
+def _live_phi_dofs(ops: Operators) -> np.ndarray:
+    """phi DOFs of the elements where G_eta or the damped phi mass has a nonzero row."""
+    nonzero = np.zeros(ops.n_phi, dtype=bool)
+    for A in (ops.G_x, ops.G_y, ops.M_phid_x, ops.M_phid_y):
+        nonzero |= np.diff(A.indptr) > 0
+    cells = ops.dof_phi.cell_dofs
+    return cells[nonzero[cells].any(axis=1)].ravel()
+
+
+@dataclass(frozen=True)
+class StepOperators:
+    """The constrained operators one rhs applies to y = [u, v, phi_x, phi_y].
+
+    M_u is the continuous mass. The u equation's right side is -A y with
+    A = [K + M_d0 + R_theta, M_d1 + R_v, B_x, B_y]; the phi equations' is
+    C y with C = [G_x, 0, -M_phid_x, 0; G_y, 0, 0, -M_phid_y]. Couplings and
+    damped masses keep only the live phi rows and columns.
+    """
+
+    M_u: sp.csr_matrix
+    A: sp.csr_matrix
+    C: sp.csr_matrix
 
 
 class WaveStepper:
-    """Owns the constrained operators, factorizations, and CG warm starts."""
+    """Owns the combined operators, factorizations, and CG warm starts."""
 
     def __init__(self, ops: Operators, forcing: GaussianPulse | None = None,
                  forcing_cutoff: float | None = None):
         self.ops = ops
-        self.cops = constrain_operators(ops)
         self.forcing = forcing
         self.forcing_cutoff = forcing_cutoff
-        self._inv_diag = 1.0 / self.cops.M_u.diagonal()
+        self.live_phi = live_phi = _live_phi_dofs(ops)
+        c = constrain_operators(ops)
+        A_u, A_v = c.K + c.M_d0, c.M_d1
+        if c.R_v is not None:
+            A_u, A_v = A_u + c.R_theta, A_v + c.R_v
+        phid = sp.block_diag([c.M_phid_x[live_phi][:, live_phi],
+                              c.M_phid_y[live_phi][:, live_phi]])
+        G = sp.vstack([c.G_x[live_phi], c.G_y[live_phi]])
+        self.cops = StepOperators(
+            M_u=c.M_u,
+            A=sp.hstack([A_u, A_v, c.B_x[:, live_phi], c.B_y[:, live_phi]], format="csr"),
+            C=sp.hstack([G, sp.csr_matrix((G.shape[0], ops.n_u)), -phid], format="csr"),
+        )
+        self.n_state = 2 * ops.n_u + 2 * live_phi.size
+        bnd = ops.dirichlet if ops.dirichlet is not None else np.empty(0, dtype=int)
+        self.pinned = np.concatenate((bnd, ops.n_u + bnd))  # Dirichlet entries of u and v
+        self._inv_diag = 1.0 / c.M_u.diagonal()
         self._phi_chol = la.cho_factor(ops.jac * ops.M_phi_local)
         self._warm = np.zeros(ops.n_u)
         self._nloc = ops.basis.n_loc
         if forcing is not None:
             f = assemble_forcing_spatial(ops.mesh, ops.basis, ops.material,
                                          ops.dof_u, forcing.spatial)
-            if ops.dirichlet is not None:
-                f[ops.dirichlet] = 0.0
+            f[bnd] = 0.0
             self._f_spatial = f
         else:
             self._f_spatial = None
@@ -116,65 +165,29 @@ class WaveStepper:
             return 0.0
         return float(self.forcing.envelope(t))
 
-    def rhs(self, state: State):
-        """Time derivatives (du, dv, dphi_x, dphi_y) at state.t."""
-        c = self.cops
-        r = -(c.K @ state.u)
-        if c.M_d1.nnz:
-            r -= c.M_d1 @ state.v
-        if c.M_d0.nnz:
-            r -= c.M_d0 @ state.u
-        if c.B_x.nnz:
-            r -= c.B_x @ state.phi_x
-        if c.B_y.nnz:
-            r -= c.B_y @ state.phi_y
-        if c.R_v is not None:
-            r -= c.R_v @ state.v
-            r -= c.R_theta @ state.u
-        env = self._envelope(state.t)
+    def rhs(self, y: np.ndarray, t: float) -> np.ndarray:
+        """Time derivative of the flat state y at time t."""
+        n = self.ops.n_u
+        r = -(self.cops.A @ y)
+        env = self._envelope(t)
         if env != 0.0:
             r += env * self._f_spatial
-        dv, _ = pcg(c.M_u, r, x0=self._warm, rtol=1e-12, inv_diag=self._inv_diag)
+        dv, _ = pcg(self.cops.M_u, r, x0=self._warm, rtol=1e-12, inv_diag=self._inv_diag)
         self._warm = dv
+        g = (self.cops.C @ y).reshape(-1, self._nloc).T
+        dphi = la.cho_solve(self._phi_chol, g).T.ravel()
+        return np.concatenate((y[n:2 * n], dv, dphi))
 
-        if c.G_x.nnz or c.G_y.nnz or c.M_phid_x.nnz or c.M_phid_y.nnz:
-            rx = c.G_x @ state.u - c.M_phid_x @ state.phi_x
-            ry = c.G_y @ state.u - c.M_phid_y @ state.phi_y
-            dpx = la.cho_solve(self._phi_chol, rx.reshape(-1, self._nloc).T).T.ravel()
-            dpy = la.cho_solve(self._phi_chol, ry.reshape(-1, self._nloc).T).T.ravel()
-        else:
-            dpx = np.zeros_like(state.phi_x)
-            dpy = np.zeros_like(state.phi_y)
-        return state.v, dv, dpx, dpy
-
-    def rk4_step(self, state: State, dt: float) -> State:
-        """One classical four-stage step; Dirichlet entries re-zeroed afterwards."""
+    def rk4_step(self, y: np.ndarray, t: float, dt: float) -> np.ndarray:
+        """One classical four-stage step from (y, t); Dirichlet entries re-zeroed."""
         if dt <= 0:
             raise ValueError(f"time step must be positive, got {dt}")
-        t0 = state.t
-        k1 = self.rhs(state)
-        s2 = State(state.u + 0.5 * dt * k1[0], state.v + 0.5 * dt * k1[1],
-                   state.phi_x + 0.5 * dt * k1[2], state.phi_y + 0.5 * dt * k1[3],
-                   t0 + 0.5 * dt)
-        k2 = self.rhs(s2)
-        s3 = State(state.u + 0.5 * dt * k2[0], state.v + 0.5 * dt * k2[1],
-                   state.phi_x + 0.5 * dt * k2[2], state.phi_y + 0.5 * dt * k2[3],
-                   t0 + 0.5 * dt)
-        k3 = self.rhs(s3)
-        s4 = State(state.u + dt * k3[0], state.v + dt * k3[1],
-                   state.phi_x + dt * k3[2], state.phi_y + dt * k3[3], t0 + dt)
-        k4 = self.rhs(s4)
-        c = dt / 6.0
-        new = State(
-            u=state.u + c * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-            v=state.v + c * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
-            phi_x=state.phi_x + c * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
-            phi_y=state.phi_y + c * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]),
-            t=t0 + dt,
-        )
-        if self.ops.dirichlet is not None:
-            new.u[self.ops.dirichlet] = 0.0
-            new.v[self.ops.dirichlet] = 0.0
+        k1 = self.rhs(y, t)
+        k2 = self.rhs(y + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = self.rhs(y + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = self.rhs(y + dt * k3, t + dt)
+        new = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        new[self.pinned] = 0.0
         return new
 
 
@@ -199,7 +212,7 @@ def run(
     forcing: GaussianPulse | None,
     dt: float,
     t_end: float,
-    initial: State | None = None,
+    initial: tuple | None = None,
     energy_stride: int = 0,
     energy_box=None,
     watch_nodes=None,
@@ -209,6 +222,8 @@ def run(
 ) -> RunResult:
     """Fixed-step RK4 loop over ceil(t_end/dt) steps with recorders.
 
+    initial is an optional (u, v) pair, copied into the state vector; the
+    auxiliary fields start at zero, which keeps them zero off the layer.
     energy_stride > 0 samples E(t) (over energy_box if given) plus the max
     amplitude over watch_nodes every that many steps. watch_nodes feeds the
     per-step amplitude series; record_nodes stores the full solution history
@@ -226,10 +241,11 @@ def run(
     _cfl_check(ops, dt)
 
     stepper = WaveStepper(ops, forcing, forcing_cutoff=forcing_cutoff)
-    state = initial if initial is not None else State.zero(ops)
-    if ops.dirichlet is not None:
-        state.u[ops.dirichlet] = 0.0
-        state.v[ops.dirichlet] = 0.0
+    n = ops.n_u
+    y = np.zeros(stepper.n_state)
+    if initial is not None:
+        y[:n], y[n:2 * n] = initial
+    y[stepper.pinned] = 0.0
 
     e_pair = energy_matrices(ops, box=energy_box) if energy_stride else None
     result = RunResult()
@@ -241,23 +257,24 @@ def run(
         result.amplitudes = np.empty(n_steps + 1)
     result.times = np.arange(n_steps + 1) * dt
 
-    def observe(k: int, st: State):
-        if not np.all(np.isfinite(st.u)):
-            raise NumericalError(f"solution became non-finite at t={st.t:.4f}")
+    def observe(k: int, y: np.ndarray):
+        u = y[:n]
+        if not np.all(np.isfinite(u)):
+            raise NumericalError(f"solution became non-finite at t={k * dt:.4f}")
         if record_nodes is not None:
-            result.node_values[k] = st.u[record_nodes]
+            result.node_values[k] = u[record_nodes]
         if watch_nodes is not None:
-            result.amplitudes[k] = float(np.max(np.abs(st.u[watch_nodes]))) if len(watch_nodes) else 0.0
+            result.amplitudes[k] = float(np.max(np.abs(u[watch_nodes]))) if len(watch_nodes) else 0.0
         if energy_stride and (k % energy_stride == 0 or k == n_steps):
-            amp = result.amplitudes[k] if watch_nodes is not None else float(np.max(np.abs(st.u)))
-            result.samples.append(EnergySample(t=st.t, E=energy(st, *e_pair), max_amp=amp))
+            amp = result.amplitudes[k] if watch_nodes is not None else float(np.max(np.abs(u)))
+            E = energy(u, y[n:2 * n], *e_pair)
+            result.samples.append(EnergySample(t=k * dt, E=E, max_amp=amp))
         if k in snap_steps:
-            result.snapshots.append((snap_steps[k], st.u.copy()))
+            result.snapshots.append((snap_steps[k], u.copy()))
 
-    observe(0, state)
+    observe(0, y)
     for k in range(1, n_steps + 1):
-        state = stepper.rk4_step(state, dt)
-        state.t = k * dt  # keep recorded times free of accumulation drift
-        observe(k, state)
-    result.final_state = state
+        y = stepper.rk4_step(y, (k - 1) * dt, dt)
+        observe(k, y)
+    result.final_state = StateView(y, n, n_steps * dt)
     return result

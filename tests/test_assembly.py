@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
@@ -6,6 +8,7 @@ from pmlwave.assembly import (GaussianPulse, apply_dirichlet, assemble_all,
                               assemble_forcing, assemble_forcing_spatial,
                               assemble_stiffness, assemble_weighted_mass,
                               l2_project)
+from pmlwave.errors import NumericalError
 from pmlwave.mesh import (MaterialField, build_cartesian_mesh, dof_map,
                           homogeneous_material)
 from pmlwave.pml import PmlConfig
@@ -239,3 +242,12 @@ def test_rejects_nonpositive_material():
                         rho=lambda x, y: 1.0 + 0.0 * np.asarray(x), interfaces=())
     with pytest.raises(ValueError):
         assemble_all(mesh, basis, bad, None)
+
+
+def test_rejects_non_finite_operator_and_names_it():
+    mesh = build_cartesian_mesh((0.0, 1.0, 0.0, 1.0), 0.5)
+    basis = tensor_basis_tables(1)
+    huge = replace(interior_pml(), d0_x=1e200, d0_y=1e200)  # d_x * d_y overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="M_d0"):
+            assemble_all(mesh, basis, homogeneous_material(), huge)

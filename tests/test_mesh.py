@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from pmlwave.errors import ConfigError
-from pmlwave.mesh import (boundary_dofs, build_cartesian_mesh,
-                          check_interface_alignment, dof_map, elements_in_box,
-                          homogeneous_material, layered_material, nodes_in_box,
-                          physical_quad_points)
+from pmlwave.mesh import (build_cartesian_mesh, check_interface_alignment,
+                          dof_map, elements_in_box, homogeneous_material,
+                          layered_material, nodes_in_box, physical_quad_points)
 from pmlwave.quadrature import tensor_basis_tables
 
 
@@ -59,8 +58,6 @@ def test_dofmap_discontinuous():
     dm = dof_map(mesh, 2, "discontinuous", gll=basis.gll_nodes)
     assert dm.n_dofs == 4 * 9
     assert np.array_equal(dm.cell_dofs.ravel(), np.arange(36))
-    with pytest.raises(ValueError):
-        boundary_dofs(dm, mesh)
 
 
 def test_dofmap_rejects_unknown_kind():

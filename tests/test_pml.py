@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmlwave.pml import (PmlConfig, damping, damping_strength, gamma_2d,
-                         k_eta, spectral_identity_check, stretch, theta_2d,
+                         k_eta, spectral_identity_check, stretch,
                          tolerance, upsilon_2d)
 
 
@@ -91,16 +91,12 @@ def test_k_eta_value():
     assert k_eta(s, 0.0) == 0.0
 
 
-def test_gamma_upsilon_theta():
+def test_gamma_upsilon():
     gx, gy = gamma_2d(2.0, 5.0)
     assert gx == pytest.approx(3.0) and gy == pytest.approx(-3.0)
     gx, gy = gamma_2d(np.array([1.0, 4.0]), np.array([4.0, 1.0]))
     assert np.allclose(gx, [3.0, -3.0]) and np.allclose(gy, -gx)
     assert upsilon_2d(2.0, 5.0) == pytest.approx(10.0)
-    # theta components carry the opposite axis damping
-    tx, ty = theta_2d(2.0, 3.0, 4.0, (1.0, 0.0))
-    assert tx == pytest.approx(4.0 * 2.0 * 1.0)
-    assert ty == pytest.approx(3.0 * 2.0 * 0.0)
 
 
 @settings(deadline=None, max_examples=100)

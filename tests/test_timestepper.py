@@ -1,23 +1,26 @@
 import numpy as np
 import pytest
-import scipy.linalg as la
 
-from pmlwave.assembly import GaussianPulse, assemble_all, constrain_operators, l2_project
+from pmlwave.assembly import (GaussianPulse, assemble_all, assemble_forcing_spatial,
+                              constrain_operators, l2_project)
 from pmlwave.errors import ConfigError, NumericalError
-from pmlwave.mesh import build_cartesian_mesh, homogeneous_material
-from pmlwave.pml import PmlConfig
+from pmlwave.mesh import build_cartesian_mesh, homogeneous_material, physical_quad_points
+from pmlwave.pml import PmlConfig, damping
 from pmlwave.quadrature import tensor_basis_tables
-from pmlwave.timestepper import State, WaveStepper, energy, energy_matrices, run
+from pmlwave.timestepper import StateView, WaveStepper, energy, energy_matrices, run
+
+PML = PmlConfig(delta=0.5, x_inner=0.5, y_inner=0.5, d0_x=3.0, d0_y=2.0)
+PULSE = GaussianPulse(center=(0.4, 0.4), sigma=0.15, t0=0.3, tau=0.1)
 
 
 def small_ops(damped=True, p=2, h=0.25, r=-1.0):
     mesh = build_cartesian_mesh((0.0, 1.0, 0.0, 1.0), h)
     basis = tensor_basis_tables(p)
-    pml = PmlConfig(delta=0.5, x_inner=0.5, y_inner=0.5, d0_x=3.0, d0_y=2.0) if damped else None
-    return assemble_all(mesh, basis, homogeneous_material(), pml, r=r)
+    return assemble_all(mesh, basis, homogeneous_material(), PML if damped else None, r=r)
 
 
-def smooth_state(ops, seed=0):
+def smooth_state(ops):
+    """A smooth (u, v) pair, zero on the Dirichlet boundary when there is one."""
     mesh, basis = ops.mesh, ops.basis
 
     def bump(x, y):
@@ -28,63 +31,169 @@ def smooth_state(ops, seed=0):
 
     u = l2_project(mesh, basis, ops.dof_u, bump)
     v = 0.3 * l2_project(mesh, basis, ops.dof_u, bump2)
-    st = State(u=u, v=v, phi_x=np.zeros(ops.n_phi), phi_y=np.zeros(ops.n_phi), t=0.0)
     if ops.dirichlet is not None:
-        st.u[ops.dirichlet] = 0.0
-        st.v[ops.dirichlet] = 0.0
-    return st
+        u[ops.dirichlet] = 0.0
+        v[ops.dirichlet] = 0.0
+    return u, v
+
+
+def flat_state(ops, stepper):
+    """Smooth u, v plus nonzero live auxiliary fields, as one state vector."""
+    u, v = smooth_state(ops)
+    n_live = stepper.live_phi.size
+    return np.concatenate((u, v, np.sin(np.arange(n_live)), np.cos(np.arange(n_live))))
+
+
+def dense_reference(ops, forcing, u0, v0, dt, n_steps):
+    """Plain dense RK4 on [u, v, phi_x, phi_y] with full-length phi.
+
+    Built from the uncompacted constrained operators; dense LU solves stand
+    in for CG and for the element-block Cholesky.
+    """
+    c = constrain_operators(ops)
+    n, m = ops.n_u, ops.n_phi
+    dense = {name: getattr(c, name).toarray() for name in
+             ("M_u", "K", "M_d1", "M_d0", "B_x", "B_y", "G_x", "G_y", "M_phid_x", "M_phid_y")}
+    R_v = c.R_v.toarray() if c.R_v is not None else np.zeros((n, n))
+    R_theta = c.R_theta.toarray() if c.R_theta is not None else np.zeros((n, n))
+    M_phi = np.kron(np.eye(ops.mesh.n_elem), ops.jac * ops.M_phi_local)
+    f = assemble_forcing_spatial(ops.mesh, ops.basis, ops.material, ops.dof_u, forcing.spatial)
+    pinned = np.zeros(2 * n + 2 * m, dtype=bool)
+    if ops.dirichlet is not None:
+        f[ops.dirichlet] = 0.0
+        pinned[ops.dirichlet] = pinned[n + ops.dirichlet] = True
+
+    def F(y, t):
+        u, v, px, py = np.split(y, [n, 2 * n, 2 * n + m])
+        r = (-dense["K"] @ u - dense["M_d1"] @ v - dense["M_d0"] @ u
+             - dense["B_x"] @ px - dense["B_y"] @ py - R_v @ v - R_theta @ u
+             + forcing.envelope(t) * f)
+        return np.concatenate((
+            v,
+            np.linalg.solve(dense["M_u"], r),
+            np.linalg.solve(M_phi, dense["G_x"] @ u - dense["M_phid_x"] @ px),
+            np.linalg.solve(M_phi, dense["G_y"] @ u - dense["M_phid_y"] @ py),
+        ))
+
+    y = np.concatenate((u0, v0, np.zeros(2 * m)))
+    y[pinned] = 0.0
+    for k in range(n_steps):
+        t = k * dt
+        k1 = F(y, t)
+        k2 = F(y + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = F(y + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = F(y + dt * k3, t + dt)
+        y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        y[pinned] = 0.0
+    return np.split(y, [n, 2 * n, 2 * n + m])
+
+
+@pytest.mark.parametrize("damped, r", [(True, -1.0), (True, 0.5), (False, -1.0)],
+                         ids=["dirichlet-damped", "impedance-damped", "undamped"])
+def test_trajectory_matches_dense_full_phi_reference(damped, r):
+    ops = small_ops(damped=damped, r=r)
+    u0, v0 = smooth_state(ops)
+    dt, n_steps = 0.01, 100
+    u_ref, v_ref, px_ref, py_ref = dense_reference(ops, PULSE, u0, v0, dt, n_steps)
+    st = run(ops, PULSE, dt, n_steps * dt, initial=(u0, v0)).final_state
+
+    live = WaveStepper(ops).live_phi
+    dead = np.setdiff1d(np.arange(ops.n_phi), live)
+    assert np.all(px_ref[dead] == 0.0) and np.all(py_ref[dead] == 0.0)
+    if not damped:
+        assert live.size == 0 and st.y.size == 2 * ops.n_u
+    pairs = [(st.u, u_ref), (st.v, v_ref)]
+    if damped:
+        pairs.append((np.concatenate((st.phi_x, st.phi_y)),
+                      np.concatenate((px_ref[live], py_ref[live]))))
+    for got, ref in pairs:
+        assert np.linalg.norm(ref) > 0.0
+        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_phi_lives_only_on_the_layer():
+    ops = small_ops(damped=True)
+    X, Y = physical_quad_points(ops.mesh, ops.basis)
+    in_layer = np.any((damping("x", X, PML) != 0.0) | (damping("y", Y, PML) != 0.0), axis=1)
+    assert 0 < in_layer.sum() < ops.mesh.n_elem
+    stepper = WaveStepper(ops)
+    assert np.array_equal(stepper.live_phi, ops.dof_phi.cell_dofs[in_layer].ravel())
+    assert stepper.n_state == 2 * ops.n_u + 2 * stepper.live_phi.size
+    assert WaveStepper(small_ops(damped=False)).n_state == 2 * ops.n_u
 
 
 def test_zero_state_stays_zero_without_forcing():
     ops = small_ops()
     res = run(ops, None, 0.01, 0.05)
-    assert np.all(res.final_state.u == 0.0)
-    assert np.all(res.final_state.phi_x == 0.0)
+    assert res.final_state.phi_x.size > 0
+    assert np.all(res.final_state.y == 0.0)
 
 
 def test_step_is_linear():
     ops = small_ops()
     stepper = WaveStepper(ops)
-    st = smooth_state(ops)
-    a = stepper.rk4_step(st.scaled(2.5), 0.01)
-    b = stepper.rk4_step(st, 0.01).scaled(2.5)
-    assert np.max(np.abs(a.u - b.u)) <= 1e-12
-    assert np.max(np.abs(a.v - b.v)) <= 1e-12
-    assert np.max(np.abs(a.phi_x - b.phi_x)) <= 1e-12
+    y = flat_state(ops, stepper)
+    a = stepper.rk4_step(2.5 * y, 0.0, 0.01)
+    b = 2.5 * stepper.rk4_step(y, 0.0, 0.01)
+    assert np.max(np.abs(a - b)) <= 1e-12
 
 
 def test_rhs_matches_dense_solve():
     ops = small_ops()
     stepper = WaveStepper(ops)
-    st = smooth_state(ops)
-    st.phi_x = np.sin(np.arange(ops.n_phi))
-    st.phi_y = np.cos(np.arange(ops.n_phi))
-    du, dv, dpx, dpy = stepper.rhs(st)
+    y = flat_state(ops, stepper)
+    st = StateView(y, ops.n_u)
+    d = StateView(stepper.rhs(y, 0.0), ops.n_u)
 
+    # Dense reference in the full phi space: live values scattered, zero elsewhere.
+    live = stepper.live_phi
+    phi_x, phi_y = np.zeros(ops.n_phi), np.zeros(ops.n_phi)
+    phi_x[live], phi_y[live] = st.phi_x, st.phi_y
     c = constrain_operators(ops)
-    r = -(c.K @ st.u) - c.M_d1 @ st.v - c.M_d0 @ st.u \
-        - c.B_x @ st.phi_x - c.B_y @ st.phi_y
+    r = -(c.K @ st.u) - c.M_d1 @ st.v - c.M_d0 @ st.u - c.B_x @ phi_x - c.B_y @ phi_y
     dv_ref = np.linalg.solve(c.M_u.toarray(), r)
     Mp = ops.jac * ops.M_phi_local
-    rx = (c.G_x @ st.u - c.M_phid_x @ st.phi_x).reshape(-1, ops.basis.n_loc)
-    dpx_ref = np.linalg.solve(Mp, rx.T).T.ravel()
-    assert np.array_equal(du, st.v)
-    assert np.max(np.abs(dv - dv_ref)) <= 1e-10
-    assert np.max(np.abs(dpx - dpx_ref)) <= 1e-10
-    assert dpy.shape == dpx.shape
+    dphi_ref = []
+    for G, Md, phi in ((c.G_x, c.M_phid_x, phi_x), (c.G_y, c.M_phid_y, phi_y)):
+        rhs = (G @ st.u - Md @ phi).reshape(-1, ops.basis.n_loc)
+        dphi_ref.append(np.linalg.solve(Mp, rhs.T).T.ravel())
+    assert np.array_equal(d.u, st.v)
+    assert np.max(np.abs(d.v - dv_ref)) <= 1e-10
+    assert np.max(np.abs(d.phi_x - dphi_ref[0][live])) <= 1e-10
+    assert np.max(np.abs(d.phi_y - dphi_ref[1][live])) <= 1e-10
+
+
+def test_run_leaves_initial_unchanged():
+    ops = small_ops()
+    rng = np.random.default_rng(3)
+    u0, v0 = rng.standard_normal(ops.n_u), rng.standard_normal(ops.n_u)
+    u_copy, v_copy = u0.copy(), v0.copy()
+    res = run(ops, None, 0.01, 0.05, initial=(u0, v0))
+    assert np.array_equal(u0, u_copy) and np.array_equal(v0, v_copy)
+    assert np.all(res.final_state.u[ops.dirichlet] == 0.0)
+
+
+def test_impedance_boundary_undamped_energy_non_increasing():
+    ops = small_ops(damped=False, r=0.5)
+    pulse = GaussianPulse(center=(0.5, 0.5), sigma=0.15, t0=0.3, tau=0.1)
+    res = run(ops, pulse, 0.01, 3.0, energy_stride=1, forcing_cutoff=0.8)
+    E = np.array([s.E for s in res.samples])
+    ts = np.array([s.t for s in res.samples])
+    free = E[ts >= 0.8 - 1e-12]
+    growth = np.diff(free) / free[:-1]
+    assert np.max(growth) <= 1e-8
+    assert free[-1] < 0.5 * free[0]  # the partially reflecting boundary absorbs
 
 
 def test_rk4_self_convergence_is_fourth_order():
     # Step sizes all well inside the stability region so the measured rate
     # reflects the local truncation error, not marginal stability.
     ops = small_ops(p=1)
-    st0 = smooth_state(ops)
+    initial = smooth_state(ops)
     T = 0.4
     finals = {}
     for dt in (0.04, 0.02, 0.005):
-        res = run(ops, None, dt, T, initial=State(st0.u.copy(), st0.v.copy(),
-                                                  st0.phi_x.copy(), st0.phi_y.copy(), 0.0))
-        finals[dt] = res.final_state.u.copy()
+        finals[dt] = run(ops, None, dt, T, initial=initial).final_state.u
     e1 = np.max(np.abs(finals[0.04] - finals[0.005]))
     e2 = np.max(np.abs(finals[0.02] - finals[0.005]))
     order = np.log2(e1 / e2)
@@ -94,20 +203,31 @@ def test_rk4_self_convergence_is_fourth_order():
 def test_energy_quadratic_scaling():
     ops = small_ops(damped=False)
     M, K = energy_matrices(ops)
-    st = smooth_state(ops)
-    e1 = energy(st, M, K)
-    e4 = energy(st.scaled(2.0), M, K)
+    u, v = smooth_state(ops)
+    e1 = energy(u, v, M, K)
+    e4 = energy(2.0 * u, 2.0 * v, M, K)
     assert e4 == pytest.approx(4.0 * e1, rel=1e-12)
     assert e1 > 0.0
 
 
+def test_energy_matrices_reuse_operators():
+    ops = small_ops(damped=False)
+    M, K = energy_matrices(ops)
+    assert M is ops.M_u and K is ops.K
+    # A box holding every element assembles the same pair through the mask.
+    M_box, K_box = energy_matrices(ops, box=(-1.0, 2.0, -1.0, 2.0))
+    assert abs(M_box - ops.M_u).max() == 0.0 and abs(K_box - ops.K).max() == 0.0
+    M_half, _ = energy_matrices(ops, box=(0.0, 0.5, 0.0, 1.0))
+    assert M_half.sum() == pytest.approx(0.5 * ops.M_u.sum(), rel=1e-12)
+
+
 def test_damped_run_dissipates_energy():
     ops = small_ops(damped=True)
-    st0 = smooth_state(ops)
+    u0, v0 = smooth_state(ops)
     M, K = energy_matrices(ops)
-    e0 = energy(st0, M, K)
-    res = run(ops, None, 0.01, 2.0, initial=st0, energy_stride=50)
-    e_end = energy(res.final_state, M, K)
+    e0 = energy(u0, v0, M, K)
+    res = run(ops, None, 0.01, 2.0, initial=(u0, v0), energy_stride=50)
+    e_end = energy(res.final_state.u, res.final_state.v, M, K)
     assert e_end < 0.5 * e0  # interior layer drains the standing wave quickly
 
 
@@ -124,17 +244,18 @@ def test_run_argument_validation():
     ops = small_ops(damped=False)
     with pytest.raises(ValueError):
         run(ops, None, -0.01, 1.0)
+    stepper = WaveStepper(ops)
     with pytest.raises(ValueError):
-        WaveStepper(ops).rk4_step(State.zero(ops), 0.0)
+        stepper.rk4_step(np.zeros(stepper.n_state), 0.0, 0.0)
 
 
 def test_unstable_step_raises():
     ops = small_ops(damped=False)
-    st = smooth_state(ops)
+    initial = smooth_state(ops)
     with pytest.warns(RuntimeWarning):
         with pytest.raises(NumericalError):
             with np.errstate(over="ignore", invalid="ignore"):
-                run(ops, None, 5.0, 500.0, initial=st)
+                run(ops, None, 5.0, 500.0, initial=initial)
 
 
 def test_recorders_shapes():
