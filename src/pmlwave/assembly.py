@@ -18,12 +18,14 @@ are (B_eta^T equals the unit-weight gradient coupling).
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 
 from .errors import NumericalError
 from .mesh import DofMap, MaterialField, MeshQ, dof_map, physical_quad_points
 from .pml import PmlConfig, damping, gamma_2d, upsilon_2d
 from .quadrature import BasisQp
+from .solvers import pcg
 
 # Local DOFs on each element edge, in edge order bottom/right/top/left.
 def _edge_locals(p: int):
@@ -340,7 +342,8 @@ def l2_project(mesh: MeshQ, basis: BasisQp, dofmap: DofMap, g) -> np.ndarray:
     """L2 projection of g onto the requested space: solve M x = (g, v)_h.
 
     Discontinuous spaces solve element blocks directly; the continuous
-    unweighted mass is solved by preconditioned CG.
+    unweighted mass is solved by CG preconditioned with its exact
+    tensor-product inverse.
     """
     X, Y = physical_quad_points(mesh, basis)
     gq = np.broadcast_to(np.asarray(g(X, Y), dtype=float), X.shape)
@@ -356,52 +359,97 @@ def l2_project(mesh: MeshQ, basis: BasisQp, dofmap: DofMap, g) -> np.ndarray:
 
     load = np.zeros(dofmap.n_dofs)
     np.add.at(load, dofmap.cell_dofs.ravel(), local.ravel())
-    ones = np.ones_like
-    M = assemble_weighted_mass(mesh, basis, dofmap, lambda x, y: ones(np.asarray(x, dtype=float)))
-    from .solvers import pcg
-
-    x, _ = pcg(M, load, rtol=1e-13)
+    ones = np.ones(X.shape)
+    M = assemble_weighted_mass(mesh, basis, dofmap, ones)
+    x, _ = pcg(M, load, tensor_mass_inverse(mesh, basis, ones, pinned=False), rtol=1e-13)
     return x
+
+
+def tensor_mass_inverse(mesh: MeshQ, basis: BasisQp, weight, pinned: bool):
+    """The inverse of the continuous weighted mass as a tensor product of 1D inverses.
+
+    weight is taken as by assemble_weighted_mass: a callable (x, y) or its
+    values at the quadrature points. The mass factors as M_y(w) (x) M_x on
+    the (nx*p+1, ny*p+1) node lattices, with M_x of unit weight and M_y
+    weighted by w averaged over x at each y quadrature point; that is exact
+    when w varies only in y and an SPD, spectrally equivalent approximation
+    otherwise. With pinned, the first and last lattice node of each axis
+    (together exactly dof_u.boundary) are dropped and the returned map is
+    the identity there, matching the unit diagonal that Dirichlet
+    elimination leaves in M_u. Returns z = P(r) as a new array.
+    """
+    coef = _coef_at_quad(weight, mesh, basis) if callable(weight) else np.asarray(weight)
+    p, nq = basis.p, basis.quad.n
+    inner = slice(1, -1) if pinned else slice(None)
+
+    def inverse_1d(half_h, coef_1d):
+        n_el = coef_1d.shape[0]
+        blocks = np.einsum("q,eq,iq,jq->eij", basis.quad.weights, coef_1d,
+                           basis.val1d, basis.val1d) * half_h
+        cells = np.arange(n_el)[:, None] * p + np.arange(p + 1)
+        n = n_el * p + 1
+        M = _scatter(cells, cells, blocks, (n, n)).toarray()[inner, inner]
+        # Explicit dense inverses: an n x n inverse holds about as many
+        # entries as a u vector on a square domain, and two GEMMs beat banded
+        # Cholesky solves (LAPACK pbtrs, one column at a time) up to lattices
+        # of about 500 nodes per axis.
+        try:
+            return la.cho_solve(la.cho_factor(M), np.eye(M.shape[0]))
+        except la.LinAlgError as exc:
+            raise NumericalError(f"tensor-product mass factor is not SPD: {exc}") from exc
+
+    inv_x = inverse_1d(mesh.hx / 2.0, np.ones((mesh.nx, nq)))
+    inv_y = inverse_1d(mesh.hy / 2.0, coef.reshape(mesh.ny, mesh.nx, nq, nq).mean(axis=(1, 3)))
+    shape = (mesh.ny * p + 1, mesh.nx * p + 1)
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        z = np.array(r, dtype=float)
+        Z = z.reshape(shape)
+        Z[inner, inner] = inv_y @ Z[inner, inner] @ inv_x
+        return z
+
+    return apply
 
 
 def apply_dirichlet(ops: Operators, obj, diag: float = 1.0):
     """Constrain a vector or matrix to the recorded Dirichlet DOF set.
 
-    Vectors of u-space length get boundary entries zeroed. Matrices get
-    boundary rows and/or columns (whichever dimensions are u-sized) zeroed;
-    square u-space matrices additionally receive `diag` on the constrained
-    diagonal. Returns a new object.
+    Vectors of u-space length get boundary entries zeroed. Matrices go
+    through eliminate_dirichlet. Returns a new object.
     """
     if ops.dirichlet is None:
         raise ValueError("operators were not assembled with r = -1")
-    bnd = ops.dirichlet
-    n_u = ops.n_u
     if isinstance(obj, np.ndarray):
-        out = obj.copy()
-        if out.shape[0] != n_u:
+        if obj.shape[0] != ops.n_u:
             raise ValueError("vector length does not match the continuous space")
-        out[bnd] = 0.0
+        out = obj.copy()
+        out[ops.dirichlet] = 0.0
         return out
-    A = obj.tocsr(copy=True)
-    mask_rows = A.shape[0] == n_u
-    mask_cols = A.shape[1] == n_u
-    if not mask_rows and not mask_cols:
-        raise ValueError("matrix has no u-space dimension to constrain")
-    keep = np.ones(n_u, dtype=bool)
-    keep[bnd] = False
-    if mask_rows:
-        D = sp.diags(keep.astype(A.dtype), shape=(n_u, n_u), format="csr")
-        A = D @ A
-    if mask_cols:
-        D = sp.diags(keep.astype(A.dtype), shape=(n_u, n_u), format="csr")
-        A = A @ D
-    if mask_rows and mask_cols and diag != 0.0:
-        fill = np.zeros(n_u)
-        fill[bnd] = diag
-        A = A + sp.diags(fill, format="csr")
-    A = A.tocsr()
+    return eliminate_dirichlet(obj, ops.dirichlet, ops.n_u, diag=diag)
+
+
+def eliminate_dirichlet(A, boundary: np.ndarray, n: int, diag=1.0) -> sp.csr_matrix:
+    """Strong Dirichlet elimination of the DOFs `boundary` of an n-sized space.
+
+    Rows and/or columns (whichever dimensions have length n) at boundary are
+    zeroed by masking the stored entries; square n x n matrices additionally
+    receive `diag` on the constrained diagonal. Returns a new canonical CSR
+    matrix without stored zeros.
+    """
+    if n not in A.shape:
+        raise ValueError("matrix has no dimension of the constrained space")
+    A = A.tocsr(copy=True)
     A.sum_duplicates()
-    A.sort_indices()
+    pinned = np.zeros(n, dtype=bool)
+    pinned[boundary] = True
+    hit = np.zeros(A.nnz, dtype=bool)
+    if A.shape[0] == n:
+        hit |= np.repeat(pinned, np.diff(A.indptr))
+    if A.shape[1] == n:
+        hit |= pinned[A.indices]
+    A.data[hit] = 0
+    if A.shape == (n, n) and diag != 0:
+        A[boundary, boundary] = diag
     A.eliminate_zeros()
     return A
 

@@ -85,7 +85,7 @@ def assemble_reduced(
     if d_x < 0 or d_y < 0:
         raise ValueError("damping must be nonnegative")
 
-    from .assembly import assemble_stiffness, assemble_weighted_mass
+    from .assembly import assemble_stiffness, assemble_weighted_mass, eliminate_dirichlet
 
     dof_u = dof_map(mesh, basis.p, "continuous", gll=basis.gll_nodes)
     M_u = assemble_weighted_mass(mesh, basis, dof_u,
@@ -99,14 +99,7 @@ def assemble_reduced(
     A = (s * s * Sx * Sy) * M_u.astype(complex) \
         + (Sy / Sx) * K_x.astype(complex) + (Sx / Sy) * K_y.astype(complex)
 
-    bnd = dof_u.boundary
-    keep = np.ones(dof_u.n_dofs)
-    keep[bnd] = 0.0
-    D = sp.diags(keep)
-    A = D @ A @ D + sp.diags(np.where(keep == 0.0, 1.0 + 0.0j, 0.0 + 0.0j))
-    A = A.tocsc()
-    A.sum_duplicates()
-    A.sort_indices()
+    A = eliminate_dirichlet(A, dof_u.boundary, dof_u.n_dofs, diag=1.0).tocsc()
     return ComplexSystem(s=s, d_x=d_x, d_y=d_y, mesh=mesh, basis=basis,
                          material=material, dof_u=dof_u, A=A,
                          M_u=M_u, K_x=K_x, K_y=K_y)
@@ -263,11 +256,9 @@ def projection_pi_p(
     g_loc = np.asarray(g_nodal, dtype=complex)[dof_w.cell_dofs]   # (n_elem, nloc)
     M0 = np.einsum("q,mq,nq->mn", basis.w2d, basis.val2d, basis.val2d)
     rhs = g_loc @ M0.T
-    out = np.empty_like(g_loc)
     factor = np.conj(s) + dq   # (n_elem, nq)
-    for e in range(mesh.n_elem):
-        Msd = np.einsum("q,mq,nq->mn", basis.w2d * factor[e], basis.val2d, basis.val2d)
-        out[e] = np.linalg.solve(Msd, rhs[e])
+    Msd = np.einsum("q,eq,mq,nq->emn", basis.w2d, factor, basis.val2d, basis.val2d)
+    out = np.linalg.solve(Msd, rhs[:, :, None])[:, :, 0]
     result = np.empty(dof_w.n_dofs, dtype=complex)
     result[dof_w.cell_dofs.ravel()] = out.ravel()
     return result

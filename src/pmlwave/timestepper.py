@@ -8,10 +8,11 @@ phi starts at zero, so the dropped entries would stay identically zero;
 undamped runs carry no phi at all.
 
 Each right-hand-side evaluation applies two pre-combined sparse operators,
-solves the continuous mass by warm-started CG (relative residual 1e-12) and
-the discontinuous mass exactly through one Cholesky factorization of the
-shared element block. The time loop is sequential by contract; dt is fixed
-for the whole run.
+solves the continuous mass by CG (relative residual 1e-12) preconditioned
+with its tensor-product inverse, which is exact for material varying only
+in y so that one iteration suffices, and solves the discontinuous mass
+exactly through one Cholesky factorization of the shared element block.
+The time loop is sequential by contract; dt is fixed for the whole run.
 """
 
 import math
@@ -29,6 +30,7 @@ from .assembly import (
     assemble_stiffness,
     assemble_weighted_mass,
     constrain_operators,
+    tensor_mass_inverse,
 )
 from .errors import ConfigError, NumericalError
 from .mesh import elements_in_box
@@ -123,7 +125,7 @@ class StepOperators:
 
 
 class WaveStepper:
-    """Owns the combined operators, factorizations, and CG warm starts."""
+    """Owns the combined operators and the mass factorizations."""
 
     def __init__(self, ops: Operators, forcing: GaussianPulse | None = None,
                  forcing_cutoff: float | None = None):
@@ -146,9 +148,10 @@ class WaveStepper:
         self.n_state = 2 * ops.n_u + 2 * live_phi.size
         bnd = ops.dirichlet if ops.dirichlet is not None else np.empty(0, dtype=int)
         self.pinned = np.concatenate((bnd, ops.n_u + bnd))  # Dirichlet entries of u and v
-        self._inv_diag = 1.0 / c.M_u.diagonal()
+        self._mass_inv = tensor_mass_inverse(
+            ops.mesh, ops.basis, lambda x, y: 1.0 / ops.material.kappa(x, y),
+            pinned=ops.dirichlet is not None)
         self._phi_chol = la.cho_factor(ops.jac * ops.M_phi_local)
-        self._warm = np.zeros(ops.n_u)
         self._nloc = ops.basis.n_loc
         if forcing is not None:
             f = assemble_forcing_spatial(ops.mesh, ops.basis, ops.material,
@@ -172,8 +175,7 @@ class WaveStepper:
         env = self._envelope(t)
         if env != 0.0:
             r += env * self._f_spatial
-        dv, _ = pcg(self.cops.M_u, r, x0=self._warm, rtol=1e-12, inv_diag=self._inv_diag)
-        self._warm = dv
+        dv, _ = pcg(self.cops.M_u, r, self._mass_inv, rtol=1e-12)
         g = (self.cops.C @ y).reshape(-1, self._nloc).T
         dphi = la.cho_solve(self._phi_chol, g).T.ravel()
         return np.concatenate((y[n:2 * n], dv, dphi))

@@ -4,9 +4,11 @@ import pytest
 from pmlwave.config import config_from_dict
 from pmlwave.errors import ConfigError
 from pmlwave.experiments import (LongtimeResult, _matched_inner_nodes,
-                                 build_problem, run_convergence_study,
-                                 run_longtime_experiment,
+                                 _projection_residual, build_problem,
+                                 run_convergence_study, run_longtime_experiment,
                                  run_pml_error_experiment, run_simulation)
+from pmlwave.mesh import build_cartesian_mesh, dof_map, physical_quad_points
+from pmlwave.quadrature import tensor_basis_tables
 
 MICRO = {
     "domain": [-1.2, 1.2, -1.2, 1.2],
@@ -105,3 +107,25 @@ def test_convergence_study_rows():
     assert np.isnan(rows[0]["order"]) and np.isfinite(rows[1]["order"])
     with pytest.raises(ConfigError, match="two h values"):
         run_convergence_study(micro_cfg(h_values=[0.6]))
+
+
+def test_projection_residual_matches_per_element_reference():
+    mesh = build_cartesian_mesh((0.0, 1.0, 0.0, 1.5), 0.5)
+    basis = tensor_basis_tables(2)
+    dm = dof_map(mesh, 2, "discontinuous", gll=basis.gll_nodes)
+    rng = np.random.default_rng(4)
+    g, gp = rng.standard_normal(dm.n_dofs), rng.standard_normal(dm.n_dofs)
+    s = 2.0 + 3.0j
+
+    def d_fn(x, y):
+        return 4.0 * x * x
+
+    X, Y = physical_quad_points(mesh, basis)
+    wq = basis.w2d * (mesh.hx * mesh.hy / 4.0)
+    expect = 0.0
+    for e, cells in enumerate(dm.cell_dofs):
+        vals = (np.conj(s) + d_fn(X[e], Y[e])) * (gp[cells] @ basis.val2d) \
+            - g[cells] @ basis.val2d
+        expect = max(expect, float(np.max(np.abs(basis.val2d @ (wq * vals)))))
+    got = _projection_residual(g, gp, mesh, basis, dm, d_fn, s)
+    assert got == pytest.approx(expect, rel=1e-13)

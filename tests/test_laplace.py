@@ -6,7 +6,8 @@ from pmlwave.laplace import (assemble_reduced, data_energy,
                              energy_inequality_check, manufactured_convergence,
                              projection_pi_p, quadrature_point_interpolant,
                              solution_energy, solve)
-from pmlwave.mesh import build_cartesian_mesh, dof_map, homogeneous_material
+from pmlwave.mesh import (build_cartesian_mesh, dof_map, homogeneous_material,
+                          physical_quad_points)
 from pmlwave.quadrature import tensor_basis_tables
 
 from oracles import OracleProblem
@@ -206,3 +207,23 @@ def test_projection_validation():
     with pytest.raises(ValueError):
         projection_pi_p(np.zeros(dm.n_dofs), mesh, basis, dm,
                         lambda x, y: 0.0 * x, -1.0 + 0.0j)
+
+
+def test_projection_matches_per_element_reference():
+    mesh = build_cartesian_mesh((0.0, 1.5, 0.0, 1.0), 0.25)
+    basis = tensor_basis_tables(3)
+    dm = dof_map(mesh, 3, "discontinuous", gll=basis.gll_nodes)
+    g = np.random.default_rng(9).standard_normal(dm.n_dofs)
+    s = 0.7 - 2.0j
+
+    def d_fn(x, y):
+        return 4.0 * x * x + np.sin(3.0 * y)
+
+    gp = projection_pi_p(g, mesh, basis, dm, d_fn, s)
+    X, Y = physical_quad_points(mesh, basis)
+    M0 = np.einsum("q,mq,nq->mn", basis.w2d, basis.val2d, basis.val2d)
+    for e, cells in enumerate(dm.cell_dofs):
+        weights = basis.w2d * (np.conj(s) + d_fn(X[e], Y[e]))
+        Msd = np.einsum("q,mq,nq->mn", weights, basis.val2d, basis.val2d)
+        expect = np.linalg.solve(Msd, M0 @ g[cells])
+        assert np.max(np.abs(gp[cells] - expect)) <= 1e-13 * np.max(np.abs(expect))
