@@ -7,6 +7,10 @@ over-integration. Material and damping values are sampled at physical
 quadrature points; interfaces align with element boundaries, so each
 element only ever sees smooth data.
 
+Every element integral is one GEMM (element_blocks): per-point coefficients,
+one row per element or boundary edge, times a reference table holding the
+basis products, the quadrature weights and every constant factor.
+
 Both gradient terms of the pressure equation are integrated by parts, so
 the continuous space carries -(1/rho grad u, grad v) - (phi, grad v) and the
 auxiliary fields receive the damped gradient of u through a source term.
@@ -117,6 +121,20 @@ def _scatter(rows_cell, cols_cell, blocks, shape) -> sp.csr_matrix:
     return A
 
 
+def element_blocks(coef, weights, terms) -> np.ndarray:
+    """Blocks sum_q coef[e, q] * T[q] for every element e of coef (n_elem, n_q), as one GEMM.
+
+    T[q] sums scale * weights[q] * outer(left[:, q], right[:, q]) over the
+    (scale, left, right) terms and so carries every constant factor; the
+    (n_elem, m, n) result is never rescaled. coef may be complex.
+    """
+    table = sum(np.einsum("q,mq,nq->qmn", scale * weights, left, right)
+                for scale, left, right in terms)
+    n_q, m, n = table.shape
+    coef = np.asarray(coef)
+    return (coef.reshape(-1, n_q) @ table.reshape(n_q, m * n)).reshape(-1, m, n)
+
+
 def _coef_at_quad(fn, mesh: MeshQ, basis: BasisQp) -> np.ndarray:
     X, Y = physical_quad_points(mesh, basis)
     return np.broadcast_to(np.asarray(fn(X, Y), dtype=float), X.shape)
@@ -134,7 +152,7 @@ def assemble_weighted_mass(
     if element_mask is not None:
         coef = coef * element_mask[:, None]
     J = mesh.hx * mesh.hy / 4.0
-    blocks = np.einsum("q,eq,mq,nq->emn", basis.w2d, coef, basis.val2d, basis.val2d) * J
+    blocks = element_blocks(coef, basis.w2d, [(J, basis.val2d, basis.val2d)])
     n = dofmap.n_dofs
     return _scatter(dofmap.cell_dofs, dofmap.cell_dofs, blocks, (n, n))
 
@@ -154,29 +172,14 @@ def assemble_stiffness(
     if element_mask is not None:
         coef = coef * element_mask[:, None]
     # Jacobian times squared reference-gradient scaling: J*(2/hx)^2 = hy/hx.
-    blocks = 0.0
+    terms = []
     if direction in ("both", "x"):
-        blocks = blocks + (mesh.hy / mesh.hx) * np.einsum(
-            "q,eq,mq,nq->emn", basis.w2d, coef, basis.dxi2d, basis.dxi2d
-        )
+        terms.append((mesh.hy / mesh.hx, basis.dxi2d, basis.dxi2d))
     if direction in ("both", "y"):
-        blocks = blocks + (mesh.hx / mesh.hy) * np.einsum(
-            "q,eq,mq,nq->emn", basis.w2d, coef, basis.deta2d, basis.deta2d
-        )
+        terms.append((mesh.hx / mesh.hy, basis.deta2d, basis.deta2d))
+    blocks = element_blocks(coef, basis.w2d, terms)
     n = dofmap.n_dofs
     return _scatter(dofmap.cell_dofs, dofmap.cell_dofs, blocks, (n, n))
-
-
-def _assemble_coupling_b(mesh, basis, dof_u, dof_phi, axis: str) -> sp.csr_matrix:
-    """B_eta[v-row, phi-col] = (phi, d v / d eta)_h; no material weight."""
-    if axis == "x":
-        dcont, scale = basis.dxi2d, mesh.hy / 2.0  # J*(2/hx)
-    else:
-        dcont, scale = basis.deta2d, mesh.hx / 2.0
-    block = np.einsum("q,mq,nq->mn", basis.w2d, dcont, basis.val2d) * scale
-    blocks = np.broadcast_to(block, (mesh.n_elem,) + block.shape)
-    return _scatter(dof_u.cell_dofs, dof_phi.cell_dofs, blocks,
-                    (dof_u.n_dofs, dof_phi.n_dofs))
 
 
 def _assemble_coupling_g(mesh, basis, dof_u, dof_phi, coef, axis: str) -> sp.csr_matrix:
@@ -185,7 +188,7 @@ def _assemble_coupling_g(mesh, basis, dof_u, dof_phi, coef, axis: str) -> sp.csr
         dcont, scale = basis.dxi2d, mesh.hy / 2.0
     else:
         dcont, scale = basis.deta2d, mesh.hx / 2.0
-    blocks = np.einsum("q,eq,mq,nq->emn", basis.w2d, coef, basis.val2d, dcont) * scale
+    blocks = element_blocks(coef, basis.w2d, [(scale, basis.val2d, dcont)])
     return _scatter(dof_phi.cell_dofs, dof_u.cell_dofs, blocks,
                     (dof_phi.n_dofs, dof_u.n_dofs))
 
@@ -194,36 +197,27 @@ def _assemble_boundary(mesh, basis, dof_u, material, pml_cfg, r):
     """Boundary matrices for -1 < r < 1: R_v on du/dt and R_theta on u.
 
     Edge integrals use the same (p+1)-point 1D Gauss-Legendre rule as the
-    interior. On horizontal edges the flux modification carries d_x, on
-    vertical edges d_y.
+    interior, all edges in one batch with the edge as the element; the
+    traces of the edge DOFs are the 1D cardinal functions. On horizontal
+    edges the flux modification carries d_x, on vertical edges d_y.
     """
-    fac = (1.0 - r) / (1.0 + r)
-    p = basis.p
-    locs = _edge_locals(p)
-    q = basis.quad.nodes
-    w = basis.quad.weights
-    dofs, blk_v, blk_t = [], [], []
-    for e, edge, n_x, n_y in mesh.boundary_edges:
-        ox, oy = mesh.elem_origin[e]
-        if edge in (0, 2):  # bottom/top: parametrized by x
-            xs = ox + (q + 1.0) * (mesh.hx / 2.0)
-            ys = np.full_like(xs, oy if edge == 0 else oy + mesh.hy)
-            ds = mesh.hx / 2.0
-            dval = damping("x", xs, pml_cfg) if pml_cfg is not None else np.zeros_like(xs)
-        else:  # left/right: parametrized by y
-            ys = oy + (q + 1.0) * (mesh.hy / 2.0)
-            xs = np.full_like(ys, ox + mesh.hx if edge == 1 else ox)
-            ds = mesh.hy / 2.0
-            dval = damping("y", ys, pml_cfg) if pml_cfg is not None else np.zeros_like(ys)
-        c = material.wave_speed(xs, ys)
-        base = basis.val1d  # traces of the edge DOFs are the 1D cardinal functions
-        blk_v.append(np.einsum("a,a,ma,na->mn", w, fac * c, base, base) * ds)
-        blk_t.append(np.einsum("a,a,ma,na->mn", w, fac * c * dval, base, base) * ds)
-        dofs.append(dof_u.cell_dofs[e, locs[edge]])
-    dofs = np.array(dofs)
+    elem, edge = mesh.boundary_edges[:, 0], mesh.boundary_edges[:, 1]
+    horizontal = (edge % 2 == 0)[:, None]  # bottom/top: parametrized by x
+    ox, oy = mesh.elem_origin[elem, 0:1], mesh.elem_origin[elem, 1:2]
+    t = basis.quad.nodes + 1.0
+    xs = np.where(horizontal, ox + t * (mesh.hx / 2.0), ox + mesh.hx * (edge == 1)[:, None])
+    ys = np.where(horizontal, oy + mesh.hy * (edge == 2)[:, None], oy + t * (mesh.hy / 2.0))
+    ds = np.where(horizontal, mesh.hx / 2.0, mesh.hy / 2.0)
+    coef_v = (1.0 - r) / (1.0 + r) * material.wave_speed(xs, ys) * ds
+    dval = 0.0
+    if pml_cfg is not None:
+        dval = np.where(horizontal, damping("x", xs, pml_cfg), damping("y", ys, pml_cfg))
+    dofs = dof_u.cell_dofs[elem[:, None], np.array(_edge_locals(basis.p))[edge]]
     n = dof_u.n_dofs
-    return (_scatter(dofs, dofs, np.array(blk_v), (n, n)),
-            _scatter(dofs, dofs, np.array(blk_t), (n, n)))
+    return tuple(
+        _scatter(dofs, dofs, element_blocks(coef, basis.quad.weights,
+                                            [(1.0, basis.val1d, basis.val1d)]), (n, n))
+        for coef in (coef_v, coef_v * dval))
 
 
 def assemble_all(
@@ -269,8 +263,10 @@ def assemble_all(
 
     damped = pml_cfg is not None and pml_cfg.enabled
     if damped:
-        B_x = _assemble_coupling_b(mesh, basis, dof_u, dof_phi, "x")
-        B_y = _assemble_coupling_b(mesh, basis, dof_u, dof_phi, "y")
+        # B_eta[v-row, phi-col] = (phi, d v / d eta)_h is the unit-weight G_eta transposed.
+        unit = np.ones(X.shape)
+        B_x = _assemble_coupling_g(mesh, basis, dof_u, dof_phi, unit, "x").T.tocsr()
+        B_y = _assemble_coupling_g(mesh, basis, dof_u, dof_phi, unit, "y").T.tocsr()
         G_x = _assemble_coupling_g(mesh, basis, dof_u, dof_phi, gam_x / rho, "x")
         G_y = _assemble_coupling_g(mesh, basis, dof_u, dof_phi, gam_y / rho, "y")
     else:
@@ -365,6 +361,15 @@ def l2_project(mesh: MeshQ, basis: BasisQp, dofmap: DofMap, g) -> np.ndarray:
     return x
 
 
+def _lattice_mass_1d(basis: BasisQp, half_h: float, coef_1d) -> np.ndarray:
+    """Dense 1D mass (coef u, v) on the n_el*p+1 node lattice; coef_1d is (n_el, p+1)."""
+    n_el, p = coef_1d.shape[0], basis.p
+    blocks = element_blocks(coef_1d, basis.quad.weights, [(half_h, basis.val1d, basis.val1d)])
+    cells = np.arange(n_el)[:, None] * p + np.arange(p + 1)
+    n = n_el * p + 1
+    return _scatter(cells, cells, blocks, (n, n)).toarray()
+
+
 def tensor_mass_inverse(mesh: MeshQ, basis: BasisQp, weight, pinned: bool):
     """The inverse of the continuous weighted mass as a tensor product of 1D inverses.
 
@@ -383,12 +388,7 @@ def tensor_mass_inverse(mesh: MeshQ, basis: BasisQp, weight, pinned: bool):
     inner = slice(1, -1) if pinned else slice(None)
 
     def inverse_1d(half_h, coef_1d):
-        n_el = coef_1d.shape[0]
-        blocks = np.einsum("q,eq,iq,jq->eij", basis.quad.weights, coef_1d,
-                           basis.val1d, basis.val1d) * half_h
-        cells = np.arange(n_el)[:, None] * p + np.arange(p + 1)
-        n = n_el * p + 1
-        M = _scatter(cells, cells, blocks, (n, n)).toarray()[inner, inner]
+        M = _lattice_mass_1d(basis, half_h, coef_1d)[inner, inner]
         # Explicit dense inverses: an n x n inverse holds about as many
         # entries as a u vector on a square domain, and two GEMMs beat banded
         # Cholesky solves (LAPACK pbtrs, one column at a time) up to lattices

@@ -14,7 +14,6 @@ from importlib import resources
 
 import numpy as np
 
-from .assembly import dump_matrices
 from .config import SimulationConfig, config_from_dict, parse_config, save_config
 from .errors import ConfigError, NumericalError
 from .experiments import (run_convergence_study, run_laplace_battery,

@@ -170,10 +170,9 @@ def run_laplace_battery(seed: int = 7) -> list[dict]:
     the expected order p+1, recovery of coefficients from values at the
     quadrature points, and the weighted projection's defining residual.
     """
-    from .laplace import (assemble_reduced, data_energy,
-                          energy_inequality_check, manufactured_convergence,
-                          projection_pi_p, quadrature_point_interpolant,
-                          solution_energy)
+    from .laplace import (assemble_reduced, energy_inequality_check,
+                          manufactured_convergence, projection_pi_p,
+                          quadrature_point_interpolant)
     from .mesh import homogeneous_material
 
     rng = np.random.default_rng(seed)

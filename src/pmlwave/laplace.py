@@ -23,6 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .assembly import assemble_stiffness, assemble_weighted_mass, element_blocks, eliminate_dirichlet
 from .errors import ConfigError, NumericalError
 from .mesh import DofMap, MaterialField, MeshQ, build_cartesian_mesh, dof_map, homogeneous_material, physical_quad_points
 from .pml import stretch
@@ -84,8 +85,6 @@ def assemble_reduced(
     d_y = float(d_y)
     if d_x < 0 or d_y < 0:
         raise ValueError("damping must be nonnegative")
-
-    from .assembly import assemble_stiffness, assemble_weighted_mass, eliminate_dirichlet
 
     dof_u = dof_map(mesh, basis.p, "continuous", gll=basis.gll_nodes)
     M_u = assemble_weighted_mass(mesh, basis, dof_u,
@@ -257,7 +256,7 @@ def projection_pi_p(
     M0 = np.einsum("q,mq,nq->mn", basis.w2d, basis.val2d, basis.val2d)
     rhs = g_loc @ M0.T
     factor = np.conj(s) + dq   # (n_elem, nq)
-    Msd = np.einsum("q,eq,mq,nq->emn", basis.w2d, factor, basis.val2d, basis.val2d)
+    Msd = element_blocks(factor, basis.w2d, [(1.0, basis.val2d, basis.val2d)])
     out = np.linalg.solve(Msd, rhs[:, :, None])[:, :, 0]
     result = np.empty(dof_w.n_dofs, dtype=complex)
     result[dof_w.cell_dofs.ravel()] = out.ravel()

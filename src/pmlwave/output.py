@@ -11,6 +11,7 @@ import csv
 import os
 
 import numpy as np
+import scipy.sparse as sp
 
 from .mesh import DofMap, MeshQ
 from .quadrature import BasisQp, lagrange_values_at
@@ -46,21 +47,23 @@ def uniform_lattice_values(u: np.ndarray, mesh: MeshQ, basis: BasisQp,
 
     The lattice subdivides every element into p equal intervals per axis, so
     lattice points on element boundaries are shared; continuity makes the
-    value there unambiguous. Returned array is indexed [jy, ix].
+    value there unambiguous. u is the (ny*p+1, nx*p+1) nodal array of the
+    continuous space; one 1D interpolation matrix per axis maps it to the
+    lattice. Returned array is indexed [jy, ix].
     """
     p = basis.p
-    nxp, nyp = mesh.nx * p + 1, mesh.ny * p + 1
     # 1D evaluation of the nodal basis at p+1 equispaced reference points
-    ref = np.linspace(-1.0, 1.0, p + 1)
-    E1 = lagrange_values_at(basis.gll_nodes, ref)      # [basis j, point k]
-    E2 = np.kron(E1, E1)                               # [local n, point (ky*(p+1)+kx)]
-    vals = np.zeros((nyp, nxp))
-    for e in range(mesh.n_elem):
-        loc = u[dofmap.cell_dofs[e]] @ E2              # values at (p+1)^2 lattice pts
-        ex, ey = e % mesh.nx, e // mesh.nx
-        sl = np.s_[ey * p:ey * p + p + 1, ex * p:ex * p + p + 1]
-        vals[sl] = loc.reshape(p + 1, p + 1)
-    return vals
+    E1 = lagrange_values_at(basis.gll_nodes, np.linspace(-1.0, 1.0, p + 1))
+
+    def interpolation(n_el):
+        # Shared end points get the same unit row from both elements.
+        idx = np.arange(n_el)[:, None] * p + np.arange(p + 1)
+        dense = np.zeros((n_el * p + 1, n_el * p + 1))
+        dense[idx[:, :, None], idx[:, None, :]] = E1.T
+        return sp.csr_matrix(dense)
+
+    nodal = np.asarray(u).reshape(mesh.ny * p + 1, mesh.nx * p + 1)
+    return (interpolation(mesh.nx) @ (interpolation(mesh.ny) @ nodal).T).T
 
 
 def export_snapshot_csv(u: np.ndarray, dofmap: DofMap, path) -> None:

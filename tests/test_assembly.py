@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
-from pmlwave.assembly import (GaussianPulse, apply_dirichlet, assemble_all,
-                              assemble_forcing, assemble_forcing_spatial,
-                              assemble_stiffness, assemble_weighted_mass,
-                              l2_project)
+import scipy.sparse as sp
+
+from pmlwave.assembly import (GaussianPulse, _lattice_mass_1d, apply_dirichlet,
+                              assemble_all, assemble_forcing,
+                              assemble_forcing_spatial, assemble_stiffness,
+                              assemble_weighted_mass, l2_project)
 from pmlwave.errors import NumericalError
+from pmlwave.laplace import projection_pi_p
 from pmlwave.mesh import (MaterialField, build_cartesian_mesh, dof_map,
-                          homogeneous_material)
-from pmlwave.pml import PmlConfig
+                          elements_in_box, homogeneous_material,
+                          layered_material, physical_quad_points)
+from pmlwave.pml import PmlConfig, damping, gamma_2d, upsilon_2d
 from pmlwave.quadrature import tensor_basis_tables
+from pmlwave.timestepper import WaveStepper, _live_phi_dofs, energy_matrices
 
 from oracles import OracleProblem, lag
 
@@ -251,3 +256,160 @@ def test_rejects_non_finite_operator_and_names_it():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError, match="M_d0"):
             assemble_all(mesh, basis, homogeneous_material(), huge)
+
+
+# Slow reference for the GEMM element kernel: the four-operand einsum formulas
+# assembly used before, with the constant factor applied to the result.
+def einsum_blocks(w, coef, left, right, scale):
+    return np.einsum("q,eq,mq,nq->emn", w, coef, left, right) * scale
+
+
+def reference_scatter(rows_cell, cols_cell, blocks, shape):
+    rows = np.broadcast_to(rows_cell[:, :, None], blocks.shape).ravel()
+    cols = np.broadcast_to(cols_cell[:, None, :], blocks.shape).ravel()
+    A = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=shape).tocsr()
+    A.eliminate_zeros()
+    return A
+
+
+def reference_operators(ops, mask=None):
+    """Every per-point-coefficient operator of ops, from the einsum formulas."""
+    mesh, basis, mat = ops.mesh, ops.basis, ops.material
+    X, Y = physical_quad_points(mesh, basis)
+    inv_kap = np.broadcast_to(1.0 / mat.kappa(X, Y), X.shape)
+    inv_rho = np.broadcast_to(1.0 / mat.rho(X, Y), X.shape)
+    dx, dy = damping("x", X, ops.pml_cfg), damping("y", Y, ops.pml_cfg)
+    gam_x, gam_y = gamma_2d(dx, dy)
+    w, J = basis.w2d, mesh.hx * mesh.hy / 4.0
+    du, dphi = ops.dof_u, ops.dof_phi
+
+    def scatter(rows, cols, blocks):
+        return reference_scatter(rows.cell_dofs, cols.cell_dofs, blocks,
+                                 (rows.n_dofs, cols.n_dofs))
+
+    def mass(dm, coef):
+        return scatter(dm, dm, einsum_blocks(w, coef, basis.val2d, basis.val2d, J))
+
+    kx = einsum_blocks(w, inv_rho, basis.dxi2d, basis.dxi2d, mesh.hy / mesh.hx)
+    ky = einsum_blocks(w, inv_rho, basis.deta2d, basis.deta2d, mesh.hx / mesh.hy)
+    box = 1.0 if mask is None else mask[:, None]
+    return {
+        "M_u": mass(du, inv_kap),
+        "M_d1": mass(du, (dx + dy) * inv_kap),
+        "M_d0": mass(du, upsilon_2d(dx, dy) * inv_kap),
+        "K": scatter(du, du, kx + ky),
+        "K_x": scatter(du, du, kx),
+        "K_y": scatter(du, du, ky),
+        "G_x": scatter(dphi, du, einsum_blocks(w, gam_x * inv_rho, basis.val2d,
+                                               basis.dxi2d, mesh.hy / 2.0)),
+        "G_y": scatter(dphi, du, einsum_blocks(w, gam_y * inv_rho, basis.val2d,
+                                               basis.deta2d, mesh.hx / 2.0)),
+        "M_phid_x": mass(dphi, dx),
+        "M_phid_y": mass(dphi, dy),
+        "box_M": mass(du, inv_kap * box),
+        "box_K": scatter(du, du, einsum_blocks(w, inv_rho * box, basis.dxi2d, basis.dxi2d,
+                                               mesh.hy / mesh.hx)
+                         + einsum_blocks(w, inv_rho * box, basis.deta2d, basis.deta2d,
+                                         mesh.hx / mesh.hy)),
+    }
+
+
+def reference_boundary(ops):
+    """R_v and R_theta by the per-edge loop the batched assembly replaced."""
+    mesh, basis = ops.mesh, ops.basis
+    fac = (1.0 - ops.r) / (1.0 + ops.r)
+    q, w, p = basis.quad.nodes, basis.quad.weights, basis.p
+    i = np.arange(p + 1)
+    locs = [i, i * (p + 1) + p, p * (p + 1) + i, i * (p + 1)]
+    dofs, blk_v, blk_t = [], [], []
+    for e, edge, _, _ in mesh.boundary_edges:
+        ox, oy = mesh.elem_origin[e]
+        if edge in (0, 2):
+            xs = ox + (q + 1.0) * (mesh.hx / 2.0)
+            ys = np.full_like(xs, oy if edge == 0 else oy + mesh.hy)
+            ds, dval = mesh.hx / 2.0, damping("x", xs, ops.pml_cfg)
+        else:
+            ys = oy + (q + 1.0) * (mesh.hy / 2.0)
+            xs = np.full_like(ys, ox + mesh.hx if edge == 1 else ox)
+            ds, dval = mesh.hy / 2.0, damping("y", ys, ops.pml_cfg)
+        c = ops.material.wave_speed(xs, ys)
+        base = basis.val1d
+        blk_v.append(np.einsum("a,a,ma,na->mn", w, fac * c, base, base) * ds)
+        blk_t.append(np.einsum("a,a,ma,na->mn", w, fac * c * dval, base, base) * ds)
+        dofs.append(ops.dof_u.cell_dofs[e, locs[edge]])
+    dofs, n = np.array(dofs), ops.n_u
+    return (reference_scatter(dofs, dofs, np.array(blk_v), (n, n)),
+            reference_scatter(dofs, dofs, np.array(blk_t), (n, n)))
+
+
+def relative_error(A, R):
+    A, R = sp.csr_matrix(A), sp.csr_matrix(R)
+    diff = abs(A - R)
+    return (diff.max() if diff.nnz else 0.0) / abs(R).max()
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_element_kernel_matches_four_operand_einsum(p):
+    mesh = build_cartesian_mesh((0.0, 1.0, 0.0, 1.0), 0.25)
+    basis = tensor_basis_tables(p)
+    mat, pml = wavy_material(), interior_pml()
+    ops = assemble_all(mesh, basis, mat, pml, r=0.5)
+    mask = elements_in_box(mesh, (0.0, 0.5, 0.0, 0.75))
+    ref = reference_operators(ops, mask.astype(float))
+    inv_rho = lambda x, y: 1.0 / mat.rho(x, y)
+    box_M, box_K = energy_matrices(ops, box=(0.0, 0.5, 0.0, 0.75))
+    R_v, R_theta = reference_boundary(ops)
+    got = {
+        "M_u": ops.M_u, "M_d1": ops.M_d1, "M_d0": ops.M_d0, "K": ops.K,
+        "G_x": ops.G_x, "G_y": ops.G_y,
+        "M_phid_x": ops.M_phid_x, "M_phid_y": ops.M_phid_y,
+        "K_x": assemble_stiffness(mesh, basis, ops.dof_u, inv_rho, direction="x"),
+        "K_y": assemble_stiffness(mesh, basis, ops.dof_u, inv_rho, direction="y"),
+        "box_M": box_M, "box_K": box_K,
+    }
+    for name, A in got.items():
+        err = relative_error(A, ref[name])
+        assert err <= 1e-14, f"{name}: relative error {err:.3e}"
+    assert relative_error(ops.R_v, R_v) <= 1e-14
+    assert relative_error(ops.R_theta, R_theta) <= 1e-14
+
+    # 1D lattice masses behind tensor_mass_inverse, graded weight
+    coef_1d = 1.0 + np.linspace(0.0, 1.0, mesh.ny * basis.quad.n).reshape(mesh.ny, -1)
+    cells = np.arange(mesh.ny)[:, None] * p + np.arange(p + 1)
+    blocks = einsum_blocks(basis.quad.weights, coef_1d, basis.val1d, basis.val1d,
+                           mesh.hy / 2.0)
+    n = mesh.ny * p + 1
+    M1 = reference_scatter(cells, cells, blocks, (n, n))
+    assert relative_error(_lattice_mass_1d(basis, mesh.hy / 2.0, coef_1d), M1) <= 1e-14
+
+    # projection_pi_p solves the system the einsum formula assembles
+    s = 1.0 + 2.0j
+    g = np.random.default_rng(p).standard_normal(ops.n_phi)
+    gp = projection_pi_p(g, mesh, basis, ops.dof_phi, lambda x, y: 1.0 + x * y, s)
+    X, Y = physical_quad_points(mesh, basis)
+    Msd = np.einsum("q,eq,mq,nq->emn", basis.w2d, np.conj(s) + 1.0 + X * Y,
+                    basis.val2d, basis.val2d)
+    M0 = np.einsum("q,mq,nq->mn", basis.w2d, basis.val2d, basis.val2d)
+    cells = ops.dof_phi.cell_dofs
+    residual = np.einsum("emn,en->em", Msd, gp[cells]) - g[cells] @ M0.T
+    assert np.max(np.abs(residual)) <= 1e-14 * np.max(np.abs(g[cells] @ M0.T))
+
+
+@pytest.mark.parametrize("case", ["damped_dirichlet", "layered_impedance"])
+def test_live_layer_matches_reference_assembly(case):
+    # Round-off entries the GEMM adds where the einsum summed to exact zero
+    # must not change which phi DOFs the stepper carries.
+    if case == "damped_dirichlet":
+        mesh = build_cartesian_mesh((0.0, 1.0, 0.0, 1.0), 0.125)
+        ops = assemble_all(mesh, tensor_basis_tables(3), wavy_material(), interior_pml())
+    else:
+        mesh = build_cartesian_mesh((-3.0, 3.0, -3.0, 3.0), 0.5)
+        pml = PmlConfig(delta=1.0, x_inner=2.0, y_inner=2.0, d0_x=4.0, d0_y=4.0)
+        ops = assemble_all(mesh, tensor_basis_tables(2),
+                           layered_material(interfaces=(-1.5, 1.5)), pml, r=0.5)
+    ref = replace(ops, **{name: A for name, A in reference_operators(ops).items()
+                          if name in ("G_x", "G_y", "M_phid_x", "M_phid_y")})
+    live, live_ref = _live_phi_dofs(ops), _live_phi_dofs(ref)
+    assert 0 < live.size < ops.n_phi
+    assert np.array_equal(live, live_ref)
+    assert WaveStepper(ops).n_state == WaveStepper(ref).n_state

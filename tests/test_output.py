@@ -96,3 +96,24 @@ def test_export_snapshot_dispatch(tmp_path, q2_setup):
     assert (tmp_path / "a.csv").exists() and (tmp_path / "a.vtk").exists()
     with pytest.raises(ValueError, match="format"):
         export_snapshot(u, mesh, basis, dofmap, tmp_path / "a.xyz", fmt="xyz")
+
+
+def test_uniform_lattice_values_match_per_element_loop():
+    # The per-element evaluation the two 1D interpolation matrices replaced.
+    from pmlwave.quadrature import lagrange_values_at
+
+    mesh = build_cartesian_mesh((0.0, 1.5, 0.0, 1.0), 0.25)
+    for p in (1, 3, 5):
+        basis = tensor_basis_tables(p)
+        dofmap = dof_map(mesh, p, "continuous", gll=basis.gll_nodes)
+        u = np.random.default_rng(p).standard_normal(dofmap.n_dofs)
+        E1 = lagrange_values_at(basis.gll_nodes, np.linspace(-1.0, 1.0, p + 1))
+        E2 = np.kron(E1, E1)
+        ref = np.zeros((mesh.ny * p + 1, mesh.nx * p + 1))
+        for e in range(mesh.n_elem):
+            ex, ey = e % mesh.nx, e // mesh.nx
+            ref[ey * p:ey * p + p + 1, ex * p:ex * p + p + 1] = \
+                (u[dofmap.cell_dofs[e]] @ E2).reshape(p + 1, p + 1)
+        got = uniform_lattice_values(u, mesh, basis, dofmap)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
