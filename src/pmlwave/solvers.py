@@ -15,8 +15,9 @@ def pcg(A, b, precond, rtol: float = 1e-12, maxiter: int = 2000):
     """Solve A x = b for SPD A by conjugate gradients preconditioned with z = precond(r).
 
     precond must return a new array and approximate A^{-1} by an SPD map.
-    Starts from x = 0 and stops when the recursive residual satisfies
-    ||r|| <= rtol * ||b||. Returns (x, achieved relative residual).
+    Starts from x = 0, so the first iterate is alpha * p, and stops when the
+    recursive residual satisfies ||r|| <= rtol * ||b||. Returns (x, achieved
+    relative residual).
     """
     b = np.asarray(b, dtype=float)
     nb = np.linalg.norm(b)
@@ -26,7 +27,7 @@ def pcg(A, b, precond, rtol: float = 1e-12, maxiter: int = 2000):
     # iterate converged; refuse data outside the representable range.
     if not np.isfinite(nb):
         raise NumericalError("CG right-hand side norm is not finite")
-    x = np.zeros_like(b)
+    x = None
     r = b.copy()
     z = precond(r)
     p = z
@@ -36,7 +37,10 @@ def pcg(A, b, precond, rtol: float = 1e-12, maxiter: int = 2000):
     for _ in range(maxiter):
         Ap = A @ p
         alpha = rz / float(p @ Ap)
-        x += alpha * p
+        if x is None:
+            x = alpha * p
+        else:
+            x += alpha * p
         r -= alpha * Ap
         res = np.linalg.norm(r)
         if res <= tol:

@@ -7,11 +7,15 @@ quadrature point. G_eta and the damped phi mass vanish off that layer and
 phi starts at zero, so the dropped entries would stay identically zero;
 undamped runs carry no phi at all.
 
-Each right-hand-side evaluation applies two pre-combined sparse operators,
+Each right-hand-side evaluation applies one stacked sparse operator to y,
 solves the continuous mass by CG (relative residual 1e-12) preconditioned
 with its tensor-product inverse, which is exact for material varying only
-in y so that one iteration suffices, and solves the discontinuous mass
-exactly through one Cholesky factorization of the shared element block.
+in y so that one iteration suffices, and solves the discontinuous mass with
+one matrix product against the explicit inverse of the shared element
+block. rhs writes into a caller's buffer; rk4_step keeps the current stage
+and the running weighted sum of the stages in two buffers allocated once per
+stepper and builds each stage argument in the array it returns, so a step
+allocates little beyond the product, the CG vectors and the new state.
 The time loop is sequential by contract; dt is fixed for the whole run.
 """
 
@@ -113,15 +117,45 @@ def _live_phi_dofs(ops: Operators) -> np.ndarray:
 class StepOperators:
     """The constrained operators one rhs applies to y = [u, v, phi_x, phi_y].
 
-    M_u is the continuous mass. The u equation's right side is -A y with
-    A = [K + M_d0 + R_theta, M_d1 + R_v, B_x, B_y]; the phi equations' is
-    C y with C = [G_x, 0, -M_phid_x, 0; G_y, 0, 0, -M_phid_y]. Couplings and
-    damped masses keep only the live phi rows and columns.
+    M_u is the continuous mass. F stacks the right sides of the u and phi
+    equations, so one product F y gives both:
+
+        F = [-(K + M_d0 + R_theta), -(M_d1 + R_v), -B_x,       -B_y      ]
+            [ G_x,                   0,             -M_phid_x,  0        ]
+            [ G_y,                   0,              0,        -M_phid_y ]
+
+    Couplings and damped masses keep only the live phi rows and columns.
     """
 
     M_u: sp.csr_matrix
-    A: sp.csr_matrix
-    C: sp.csr_matrix
+    F: sp.csr_matrix
+
+
+def _step_operators(ops: Operators, live_phi: np.ndarray) -> StepOperators:
+    """Constrain the operators once and stack them into F on the live phi DOFs."""
+    c = constrain_operators(ops)
+    A_u, A_v = c.K + c.M_d0, c.M_d1
+    if c.R_v is not None:
+        A_u, A_v = A_u + c.R_theta, A_v + c.R_v
+    n, m = ops.n_u, live_phi.size
+    # Explicit empty blocks keep every block CSR, so the stacking joins the
+    # compressed arrays directly instead of going through COO triplets.
+    Z_v, Z_phi = sp.csr_matrix((m, n)), sp.csr_matrix((m, m))
+    u_row = [A_u, A_v, c.B_x[:, live_phi], c.B_y[:, live_phi]]
+    phi_rows = [[c.G_x[live_phi], Z_v, -c.M_phid_x[live_phi][:, live_phi], Z_phi],
+                [c.G_y[live_phi], Z_v, Z_phi, -c.M_phid_y[live_phi][:, live_phi]]]
+    M_u = c.M_u
+    # Every block is now a new matrix. Drop the full-size constrained copies
+    # before stacking, and each group of blocks once it is stacked: set-up
+    # peaks here, and at Q3, h = 0.15 those copies alone are about 50 MB.
+    del c, A_u, A_v
+    P = sp.bmat(phi_rows, format="csr")
+    del phi_rows
+    U = sp.hstack(u_row, format="csr")
+    del u_row
+    F = sp.vstack([U, P], format="csr")
+    F.data[:F.indptr[n]] *= -1.0  # the u rows carry the minus sign
+    return StepOperators(M_u=M_u, F=F)
 
 
 class WaveStepper:
@@ -133,26 +167,19 @@ class WaveStepper:
         self.forcing = forcing
         self.forcing_cutoff = forcing_cutoff
         self.live_phi = live_phi = _live_phi_dofs(ops)
-        c = constrain_operators(ops)
-        A_u, A_v = c.K + c.M_d0, c.M_d1
-        if c.R_v is not None:
-            A_u, A_v = A_u + c.R_theta, A_v + c.R_v
-        phid = sp.block_diag([c.M_phid_x[live_phi][:, live_phi],
-                              c.M_phid_y[live_phi][:, live_phi]])
-        G = sp.vstack([c.G_x[live_phi], c.G_y[live_phi]])
-        self.cops = StepOperators(
-            M_u=c.M_u,
-            A=sp.hstack([A_u, A_v, c.B_x[:, live_phi], c.B_y[:, live_phi]], format="csr"),
-            C=sp.hstack([G, sp.csr_matrix((G.shape[0], ops.n_u)), -phid], format="csr"),
-        )
+        self.cops = _step_operators(ops, live_phi)
         self.n_state = 2 * ops.n_u + 2 * live_phi.size
         bnd = ops.dirichlet if ops.dirichlet is not None else np.empty(0, dtype=int)
         self.pinned = np.concatenate((bnd, ops.n_u + bnd))  # Dirichlet entries of u and v
         self._mass_inv = tensor_mass_inverse(
             ops.mesh, ops.basis, lambda x, y: 1.0 / ops.material.kappa(x, y),
             pinned=ops.dirichlet is not None)
-        self._phi_chol = la.cho_factor(ops.jac * ops.M_phi_local)
+        # cho_factor is the SPD check; each rhs multiplies the element rows
+        # of the phi right side by the transposed inverse in one GEMM.
+        M_phi = ops.jac * ops.M_phi_local
+        self._phi_inv_t = la.cho_solve(la.cho_factor(M_phi), np.eye(M_phi.shape[0])).T
         self._nloc = ops.basis.n_loc
+        self._stages = np.empty((2, self.n_state))  # one stage, the weighted stage sum
         if forcing is not None:
             f = assemble_forcing_spatial(ops.mesh, ops.basis, ops.material,
                                          ops.dof_u, forcing.spatial)
@@ -168,27 +195,51 @@ class WaveStepper:
             return 0.0
         return float(self.forcing.envelope(t))
 
-    def rhs(self, y: np.ndarray, t: float) -> np.ndarray:
-        """Time derivative of the flat state y at time t."""
+    def rhs(self, y: np.ndarray, t: float, out: np.ndarray | None = None) -> np.ndarray:
+        """Time derivative of the flat state y at time t, written into out when given."""
         n = self.ops.n_u
-        r = -(self.cops.A @ y)
+        if out is None:
+            out = np.empty_like(y)
+        g = self.cops.F @ y
         env = self._envelope(t)
         if env != 0.0:
-            r += env * self._f_spatial
-        dv, _ = pcg(self.cops.M_u, r, self._mass_inv, rtol=1e-12)
-        g = (self.cops.C @ y).reshape(-1, self._nloc).T
-        dphi = la.cho_solve(self._phi_chol, g).T.ravel()
-        return np.concatenate((y[n:2 * n], dv, dphi))
+            g[:n] += env * self._f_spatial
+        dv, _ = pcg(self.cops.M_u, g[:n], self._mass_inv, rtol=1e-12)
+        out[:n] = y[n:2 * n]
+        out[n:2 * n] = dv
+        np.matmul(g[n:].reshape(-1, self._nloc), self._phi_inv_t,
+                  out=out[2 * n:].reshape(-1, self._nloc))
+        return out
 
     def rk4_step(self, y: np.ndarray, t: float, dt: float) -> np.ndarray:
-        """One classical four-stage step from (y, t); Dirichlet entries re-zeroed."""
+        """One classical four-stage step from (y, t), returned as a new array.
+
+        Dirichlet entries of the result are re-zeroed; y is left unchanged.
+        """
         if dt <= 0:
             raise ValueError(f"time step must be positive, got {dt}")
-        k1 = self.rhs(y, t)
-        k2 = self.rhs(y + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = self.rhs(y + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = self.rhs(y + dt * k3, t + dt)
-        new = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        # k holds the stage just computed and acc the running k1 + 2 k2 + 2 k3 + k4,
+        # summed in that order; the returned array serves as the stage argument.
+        k, acc = self._stages
+        new = np.empty_like(y)
+        half = 0.5 * dt
+        self.rhs(y, t, out=acc)
+        np.multiply(acc, half, out=new)
+        new += y
+        self.rhs(new, t + half, out=k)
+        np.multiply(k, half, out=new)
+        new += y
+        k *= 2.0
+        acc += k
+        self.rhs(new, t + half, out=k)
+        np.multiply(k, dt, out=new)
+        new += y
+        k *= 2.0
+        acc += k
+        self.rhs(new, t + dt, out=k)
+        acc += k
+        acc *= dt / 6.0
+        np.add(y, acc, out=new)
         new[self.pinned] = 0.0
         return new
 

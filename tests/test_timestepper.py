@@ -1,6 +1,10 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pmlwave.timestepper as timestepper
 from pmlwave.assembly import (GaussianPulse, assemble_all, assemble_forcing_spatial,
                               constrain_operators, l2_project)
 from pmlwave.errors import ConfigError, NumericalError
@@ -11,6 +15,9 @@ from pmlwave.timestepper import StateView, WaveStepper, energy, energy_matrices,
 
 PML = PmlConfig(delta=0.5, x_inner=0.5, y_inner=0.5, d0_x=3.0, d0_y=2.0)
 PULSE = GaussianPulse(center=(0.4, 0.4), sigma=0.15, t0=0.3, tau=0.1)
+STEPPER_CASES = pytest.mark.parametrize(
+    "damped, r", [(True, -1.0), (True, 0.5), (False, -1.0)],
+    ids=["dirichlet-damped", "impedance-damped", "undamped"])
 
 
 def small_ops(damped=True, p=2, h=0.25, r=-1.0):
@@ -161,6 +168,83 @@ def test_rhs_matches_dense_solve():
     assert np.max(np.abs(d.v - dv_ref)) <= 1e-10
     assert np.max(np.abs(d.phi_x - dphi_ref[0][live])) <= 1e-10
     assert np.max(np.abs(d.phi_y - dphi_ref[1][live])) <= 1e-10
+
+
+@STEPPER_CASES
+def test_rk4_step_leaves_its_input_and_earlier_results_alone(damped, r):
+    ops = small_ops(damped=damped, r=r)
+    stepper = WaveStepper(ops, PULSE)
+    y = flat_state(ops, stepper)
+    y_copy = y.copy()
+    first = stepper.rk4_step(y, 0.25, 0.01)  # forcing envelope is live here
+    assert np.array_equal(y, y_copy)
+    first_copy = first.copy()
+    second = stepper.rk4_step(first, 0.26, 0.01)
+    assert not np.shares_memory(first, second) and not np.shares_memory(first, y)
+    assert np.array_equal(first, first_copy)
+    assert np.array_equal(y, y_copy)
+    assert not np.array_equal(second, first)
+
+
+@STEPPER_CASES
+def test_rhs_returns_fresh_arrays_and_fills_a_given_buffer(damped, r):
+    ops = small_ops(damped=damped, r=r)
+    stepper = WaveStepper(ops, PULSE)
+    y = flat_state(ops, stepper)
+    y_copy = y.copy()
+    a = stepper.rhs(y, 0.25)
+    b = stepper.rhs(y, 0.25)
+    assert not np.shares_memory(a, b) and not np.shares_memory(a, y)
+    assert np.array_equal(a, b)
+    buf = np.full_like(y, np.nan)
+    assert stepper.rhs(y, 0.25, out=buf) is buf
+    assert np.array_equal(buf, a)
+    assert np.array_equal(y, y_copy)
+
+
+def test_run_calls_rhs_four_times_per_step_and_pcg_once_per_rhs(monkeypatch):
+    # The benchmark's traced layers count these calls and compare them.
+    calls = {"rhs": 0, "pcg": 0}
+    rhs, pcg = WaveStepper.rhs, timestepper.pcg
+
+    def counting_rhs(self, *args, **kwargs):
+        calls["rhs"] += 1
+        return rhs(self, *args, **kwargs)
+
+    def counting_pcg(*args, **kwargs):
+        calls["pcg"] += 1
+        return pcg(*args, **kwargs)
+
+    monkeypatch.setattr(WaveStepper, "rhs", counting_rhs)
+    monkeypatch.setattr(timestepper, "pcg", counting_pcg)
+    n_steps = 7
+    run(small_ops(), PULSE, 0.01, n_steps * 0.01)
+    assert calls == {"rhs": 4 * n_steps, "pcg": 4 * n_steps}
+
+
+def test_benchmark_hook_targets_resolve():
+    # A renamed or removed target would make its benchmark layer print "absent".
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.HOOKS
+    for name, module, attr in spans.HOOKS:
+        target = importlib.import_module(module)
+        for part in attr.split("."):
+            target = getattr(target, part)
+        assert callable(target), name
+
+
+def test_impedance_tends_to_neumann_as_r_tends_to_one():
+    finals = []
+    for r in (1.0 - 1e-6, 1.0):
+        ops = small_ops(r=r)
+        assert (ops.R_v is not None) == (r < 1.0)
+        finals.append(run(ops, PULSE, 0.01, 1.0, initial=smooth_state(ops)).final_state.y)
+    near, neumann = finals
+    assert near.shape == neumann.shape
+    assert 0.0 < np.linalg.norm(near - neumann) <= 1e-4 * np.linalg.norm(neumann)
 
 
 def test_run_leaves_initial_unchanged():
