@@ -9,7 +9,9 @@ element only ever sees smooth data.
 
 Every element integral is one GEMM (element_blocks): per-point coefficients,
 one row per element or boundary edge, times a reference table holding the
-basis products, the quadrature weights and every constant factor.
+basis products, the quadrature weights and every constant factor. Load
+vectors go through it too, with a constant right factor, and every
+coefficient is sampled at the quadrature points by _coef_at_quad.
 
 Both gradient terms of the pressure equation are integrated by parts, so
 the continuous space carries -(1/rho grad u, grad v) - (phi, grad v) and the
@@ -29,7 +31,6 @@ from .errors import NumericalError
 from .mesh import DofMap, MaterialField, MeshQ, dof_map, physical_quad_points
 from .pml import PmlConfig, damping, gamma_2d, upsilon_2d
 from .quadrature import BasisQp
-from .solvers import pcg
 
 # Local DOFs on each element edge, in edge order bottom/right/top/left.
 def _edge_locals(p: int):
@@ -135,22 +136,29 @@ def element_blocks(coef, weights, terms) -> np.ndarray:
     return (coef.reshape(-1, n_q) @ table.reshape(n_q, m * n)).reshape(-1, m, n)
 
 
-def _coef_at_quad(fn, mesh: MeshQ, basis: BasisQp) -> np.ndarray:
-    X, Y = physical_quad_points(mesh, basis)
-    return np.broadcast_to(np.asarray(fn(X, Y), dtype=float), X.shape)
+def _coef_at_quad(coef, mesh: MeshQ, basis: BasisQp) -> np.ndarray:
+    """coef at every quadrature point, shape (n_elem, n_q), real or complex.
+
+    coef is a callable (x, y), sampled at the physical points, or its
+    values there (anything that broadcasts, such as a scalar).
+    """
+    if callable(coef):
+        coef = coef(*physical_quad_points(mesh, basis))
+    return np.broadcast_to(np.asarray(coef), (mesh.n_elem, basis.n_loc))
 
 
-def assemble_weighted_mass(
-    mesh: MeshQ, basis: BasisQp, dofmap: DofMap, weight, element_mask=None
-) -> sp.csr_matrix:
+def reference_mass(basis: BasisQp) -> np.ndarray:
+    """The reference element mass (u, v) on [-1, 1]^2, shared by every element."""
+    return element_blocks(np.ones((1, basis.n_loc)), basis.w2d,
+                          [(1.0, basis.val2d, basis.val2d)])[0]
+
+
+def assemble_weighted_mass(mesh: MeshQ, basis: BasisQp, dofmap: DofMap, weight) -> sp.csr_matrix:
     """Mass matrix (weight * u, v)_h on the given space.
 
-    weight is a callable (x, y) or its values at the quadrature points,
-    shape (n_elem, n_q).
+    weight is a callable (x, y) or its values at the quadrature points.
     """
-    coef = _coef_at_quad(weight, mesh, basis) if callable(weight) else weight
-    if element_mask is not None:
-        coef = coef * element_mask[:, None]
+    coef = _coef_at_quad(weight, mesh, basis)
     J = mesh.hx * mesh.hy / 4.0
     blocks = element_blocks(coef, basis.w2d, [(J, basis.val2d, basis.val2d)])
     n = dofmap.n_dofs
@@ -163,14 +171,14 @@ def assemble_stiffness(
     dofmap: DofMap,
     weight,
     direction: str = "both",
-    element_mask=None,
 ) -> sp.csr_matrix:
-    """Stiffness (weight * grad u, grad v)_h, or a single directional part of it."""
+    """Stiffness (weight * grad u, grad v)_h, or a single directional part of it.
+
+    weight is taken as by assemble_weighted_mass.
+    """
     if direction not in ("both", "x", "y"):
         raise ValueError(f"direction must be 'both', 'x' or 'y', got {direction!r}")
     coef = _coef_at_quad(weight, mesh, basis)
-    if element_mask is not None:
-        coef = coef * element_mask[:, None]
     # Jacobian times squared reference-gradient scaling: J*(2/hx)^2 = hy/hx.
     terms = []
     if direction in ("both", "x"):
@@ -238,16 +246,15 @@ def assemble_all(
     dof_phi = dof_map(mesh, basis.p, "discontinuous", gll=basis.gll_nodes)
 
     X, Y = physical_quad_points(mesh, basis)
-    kap = np.broadcast_to(np.asarray(material.kappa(X, Y), dtype=float), X.shape)
-    rho = np.broadcast_to(np.asarray(material.rho(X, Y), dtype=float), X.shape)
+    kap = _coef_at_quad(material.kappa(X, Y), mesh, basis)
+    rho = _coef_at_quad(material.rho(X, Y), mesh, basis)
     if np.any(kap <= 0) or np.any(rho <= 0):
         raise ValueError("material parameters must be positive at all quadrature points")
     if pml_cfg is not None:
-        dx = np.broadcast_to(damping("x", X, pml_cfg), X.shape)
-        dy = np.broadcast_to(damping("y", Y, pml_cfg), X.shape)
+        dx = _coef_at_quad(damping("x", X, pml_cfg), mesh, basis)
+        dy = _coef_at_quad(damping("y", Y, pml_cfg), mesh, basis)
     else:
-        dx = np.zeros_like(X)
-        dy = np.zeros_like(X)
+        dx = dy = np.zeros_like(X)
     gam_x, gam_y = gamma_2d(dx, dy)
 
     n_u = dof_u.n_dofs
@@ -259,7 +266,7 @@ def assemble_all(
     M_u = mass(dof_u, 1.0 / kap)
     M_d1 = mass(dof_u, (dx + dy) / kap)
     M_d0 = mass(dof_u, upsilon_2d(dx, dy) / kap)
-    K = assemble_stiffness(mesh, basis, dof_u, lambda x, y: 1.0 / material.rho(x, y))
+    K = assemble_stiffness(mesh, basis, dof_u, 1.0 / rho)
 
     damped = pml_cfg is not None and pml_cfg.enabled
     if damped:
@@ -289,7 +296,7 @@ def assemble_all(
         dof_u=dof_u, dof_phi=dof_phi,
         M_u=M_u, M_d1=M_d1, M_d0=M_d0, K=K,
         B_x=B_x, B_y=B_y, G_x=G_x, G_y=G_y,
-        M_phi_local=np.einsum("q,mq,nq->mn", basis.w2d, basis.val2d, basis.val2d),
+        M_phi_local=reference_mass(basis),
         M_phid_x=mass(dof_phi, dx), M_phid_y=mass(dof_phi, dy),
         R_v=R_v, R_theta=R_theta, dirichlet=dirichlet, jac=mesh.hx * mesh.hy / 4.0,
     )
@@ -306,18 +313,22 @@ def sparse_operators(ops: Operators) -> dict:
     return {n: getattr(ops, n) for n in names if getattr(ops, n) is not None}
 
 
+def assemble_load(mesh: MeshQ, basis: BasisQp, dofmap: DofMap, coef) -> np.ndarray:
+    """Load vector (coef, v)_h; coef as by assemble_weighted_mass, real or complex."""
+    coef = _coef_at_quad(coef, mesh, basis)
+    J = mesh.hx * mesh.hy / 4.0
+    local = element_blocks(coef, basis.w2d, [(J, basis.val2d, np.ones((1, basis.n_loc)))])
+    out = np.zeros(dofmap.n_dofs, dtype=local.dtype)
+    np.add.at(out, dofmap.cell_dofs.ravel(), local.ravel())
+    return out
+
+
 def assemble_forcing_spatial(
     mesh: MeshQ, basis: BasisQp, material: MaterialField, dofmap: DofMap, spatial
 ) -> np.ndarray:
     """Load vector entries (spatial / kappa, v)_h for a spatial profile."""
-    X, Y = physical_quad_points(mesh, basis)
-    coef = np.broadcast_to(np.asarray(spatial(X, Y), dtype=float), X.shape)
-    kap = np.broadcast_to(np.asarray(material.kappa(X, Y), dtype=float), X.shape)
-    J = mesh.hx * mesh.hy / 4.0
-    local = np.einsum("q,eq,mq->em", basis.w2d, coef / kap, basis.val2d) * J
-    out = np.zeros(dofmap.n_dofs)
-    np.add.at(out, dofmap.cell_dofs.ravel(), local.ravel())
-    return out
+    return assemble_load(mesh, basis, dofmap,
+                         lambda x, y: spatial(x, y) / material.kappa(x, y))
 
 
 def assemble_forcing(
@@ -337,28 +348,18 @@ def assemble_forcing(
 def l2_project(mesh: MeshQ, basis: BasisQp, dofmap: DofMap, g) -> np.ndarray:
     """L2 projection of g onto the requested space: solve M x = (g, v)_h.
 
-    Discontinuous spaces solve element blocks directly; the continuous
-    unweighted mass is solved by CG preconditioned with its exact
-    tensor-product inverse.
+    Discontinuous spaces solve element blocks directly. The continuous
+    unit-weight mass is exactly M_y (x) M_x, so its tensor-product inverse
+    solves it in one application.
     """
-    X, Y = physical_quad_points(mesh, basis)
-    gq = np.broadcast_to(np.asarray(g(X, Y), dtype=float), X.shape)
+    load = assemble_load(mesh, basis, dofmap, g)
+    if dofmap.kind == "continuous":
+        return tensor_mass_inverse(mesh, basis, 1.0, pinned=False)(load)
+    cells = dofmap.cell_dofs
     J = mesh.hx * mesh.hy / 4.0
-    local = np.einsum("q,eq,mq->em", basis.w2d, gq, basis.val2d) * J
-    M_loc = np.einsum("q,mq,nq->mn", basis.w2d, basis.val2d, basis.val2d) * J
-
-    if dofmap.kind == "discontinuous":
-        sol = np.linalg.solve(M_loc, local.T).T
-        out = np.zeros(dofmap.n_dofs)
-        out[dofmap.cell_dofs.ravel()] = sol.ravel()
-        return out
-
-    load = np.zeros(dofmap.n_dofs)
-    np.add.at(load, dofmap.cell_dofs.ravel(), local.ravel())
-    ones = np.ones(X.shape)
-    M = assemble_weighted_mass(mesh, basis, dofmap, ones)
-    x, _ = pcg(M, load, tensor_mass_inverse(mesh, basis, ones, pinned=False), rtol=1e-13)
-    return x
+    out = np.empty_like(load)
+    out[cells] = np.linalg.solve(J * reference_mass(basis), load[cells].T).T
+    return out
 
 
 def _lattice_mass_1d(basis: BasisQp, half_h: float, coef_1d) -> np.ndarray:
@@ -383,7 +384,7 @@ def tensor_mass_inverse(mesh: MeshQ, basis: BasisQp, weight, pinned: bool):
     the identity there, matching the unit diagonal that Dirichlet
     elimination leaves in M_u. Returns z = P(r) as a new array.
     """
-    coef = _coef_at_quad(weight, mesh, basis) if callable(weight) else np.asarray(weight)
+    coef = _coef_at_quad(weight, mesh, basis)
     p, nq = basis.p, basis.quad.n
     inner = slice(1, -1) if pinned else slice(None)
 

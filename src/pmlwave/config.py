@@ -15,8 +15,10 @@ import numpy as np
 
 from .assembly import GaussianPulse
 from .errors import ConfigError
-from .mesh import MaterialField, homogeneous_material, layered_material
+from .mesh import (MaterialField, check_interfaces_on_grid, element_counts,
+                   homogeneous_material, layered_material)
 from .pml import PmlConfig, damping_strength, tolerance
+from .timestepper import snapshot_steps
 
 EXPERIMENTS = ("simulate", "pml-error", "longtime", "convergence", "laplace-verify")
 
@@ -130,16 +132,16 @@ def config_from_dict(data: dict, experiment: str | None = None) -> SimulationCon
     if experiment is not None:
         values["experiment"] = experiment
     cfg = SimulationConfig(**values)
-    _validate(cfg)
+    validate_config(cfg)
     return cfg
 
 
 def validate_config(cfg: SimulationConfig) -> None:
-    """Re-run all config invariant checks (for programmatic edits)."""
-    _validate(cfg)
+    """Check every config invariant; also for configs edited in code.
 
-
-def _validate(cfg: SimulationConfig) -> None:
+    The grid rules are checked against each mesh a run can build: domain
+    and reference_domain, at h and at every h_values entry.
+    """
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {cfg.experiment!r}")
     if cfg.material not in ("homogeneous", "layered"):
@@ -163,43 +165,33 @@ def _validate(cfg: SimulationConfig) -> None:
     if cfg.energy_stride < 0 or cfg.amplitude_stride < 1:
         raise ConfigError("energy_stride must be >= 0 and amplitude_stride >= 1")
 
-    for name, dom in (("domain", cfg.domain), ("reference_domain", cfg.reference_domain)):
+    if cfg.h_values is not None and any(h <= 0 for h in cfg.h_values):
+        raise ConfigError("h_values must be positive")
+    if cfg.p_values is not None and any(not 1 <= p <= 8 for p in cfg.p_values):
+        raise ConfigError("p_values must be in 1..8")
+    domains = (("domain", cfg.domain), ("reference_domain", cfg.reference_domain))
+    for name, dom in domains:
         if len(dom) != 4:
             raise ConfigError(f"{name} must be [x0, x1, y0, y1]")
         x0, x1, y0, y1 = dom
         if x1 <= x0 or y1 <= y0:
             raise ConfigError(f"{name} is degenerate: {dom}")
-        for side, length in (("x", x1 - x0), ("y", y1 - y0)):
-            n = round(length / cfg.h)
-            if n < 1 or abs(n * cfg.h - length) > 1e-9 * length:
-                raise ConfigError(
-                    f"{name} side {side} (length {length}) is not an integer "
-                    f"multiple of h={cfg.h}"
-                )
     xi0, xi1, yi0, yi1 = cfg.inner_box()
     if xi1 <= xi0 or yi1 <= yi0:
         raise ConfigError("delta_pml leaves no interior: the layer covers the whole domain")
+    if cfg.material == "layered" and len(cfg.layer_speeds) != len(cfg.interfaces) + 1:
+        raise ConfigError("layer_speeds must have one more entry than interfaces")
 
-    for ts in cfg.snapshot_times:
-        k = round(ts / cfg.dt)
-        if abs(k * cfg.dt - ts) > 1e-9:
-            raise ConfigError(f"snapshot time {ts} is not a multiple of dt={cfg.dt}")
-
-    if cfg.material == "layered":
-        if len(cfg.layer_speeds) != len(cfg.interfaces) + 1:
-            raise ConfigError("layer_speeds must have one more entry than interfaces")
-        y0 = cfg.domain[2]
-        for yv in cfg.interfaces:
-            k = round((yv - y0) / cfg.h)
-            if abs((y0 + k * cfg.h) - yv) > 1e-9 * cfg.h:
-                raise ConfigError(
-                    f"material interface y={yv} does not align with the mesh of h={cfg.h}"
-                )
-
-    if cfg.h_values is not None and any(h <= 0 for h in cfg.h_values):
-        raise ConfigError("h_values must be positive")
-    if cfg.p_values is not None and any(not 1 <= p <= 8 for p in cfg.p_values):
-        raise ConfigError("p_values must be in 1..8")
+    sizes = [("h", cfg.h)] + [("h_values", h) for h in cfg.h_values or ()]
+    for key, h in sizes:
+        for name, dom in domains:
+            try:
+                element_counts(dom, h)
+                if cfg.material == "layered":
+                    check_interfaces_on_grid(dom, h, cfg.interfaces)
+            except ConfigError as exc:
+                raise ConfigError(f"{name} at {key} = {h}: {exc}") from exc
+    snapshot_steps(cfg.snapshot_times, cfg.dt)
 
 
 def parse_config(path, experiment: str | None = None) -> SimulationConfig:

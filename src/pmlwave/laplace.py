@@ -23,9 +23,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import assemble_stiffness, assemble_weighted_mass, element_blocks, eliminate_dirichlet
+from .assembly import (_coef_at_quad, assemble_load, assemble_stiffness,
+                       assemble_weighted_mass, element_blocks, eliminate_dirichlet,
+                       reference_mass)
 from .errors import ConfigError, NumericalError
-from .mesh import DofMap, MaterialField, MeshQ, build_cartesian_mesh, dof_map, homogeneous_material, physical_quad_points
+from .mesh import DofMap, MaterialField, MeshQ, build_cartesian_mesh, dof_map, homogeneous_material
 from .pml import stretch
 from .quadrature import BasisQp, gauss_legendre_rule, lagrange_values_at, tensor_basis_tables
 
@@ -53,12 +55,6 @@ class ComplexSystem:
     @property
     def S_y(self) -> complex:
         return stretch(self.s, self.d_y)
-
-
-@dataclass(frozen=True)
-class LaplaceEnergies:
-    E_u: float
-    E_f: float
 
 
 def assemble_reduced(
@@ -200,13 +196,7 @@ def manufactured_convergence(
     for h in hs:
         mesh = build_cartesian_mesh(domain, h)
         system = assemble_reduced(mesh, basis, material, s, d_x, d_y)
-        X, Y = physical_quad_points(mesh, basis)
-        load_q = C * u_star(X, Y)
-        J = mesh.hx * mesh.hy / 4.0
-        local = np.einsum("q,eq,mq->em", basis.w2d, load_q, basis.val2d) * J
-        b = np.zeros(system.dof_u.n_dofs, dtype=complex)
-        np.add.at(b.real, system.dof_u.cell_dofs.ravel(), local.real.ravel())
-        np.add.at(b.imag, system.dof_u.cell_dofs.ravel(), local.imag.ravel())
+        b = assemble_load(mesh, basis, system.dof_u, lambda x, y: C * u_star(x, y))
         u_hat = solve(system, b)
         errors.append(_l2_error_overquad(mesh, basis, system.dof_u, u_hat, u_star))
     orders = [
@@ -250,12 +240,9 @@ def projection_pi_p(
         raise ValueError(f"need Re(s) > 0, got s = {s}")
     if dof_w.kind != "discontinuous":
         raise ValueError("the projection lives in the discontinuous space")
-    X, Y = physical_quad_points(mesh, basis)
-    dq = np.broadcast_to(np.asarray(d_fn(X, Y), dtype=float), X.shape)
     g_loc = np.asarray(g_nodal, dtype=complex)[dof_w.cell_dofs]   # (n_elem, nloc)
-    M0 = np.einsum("q,mq,nq->mn", basis.w2d, basis.val2d, basis.val2d)
-    rhs = g_loc @ M0.T
-    factor = np.conj(s) + dq   # (n_elem, nq)
+    rhs = g_loc @ reference_mass(basis).T
+    factor = np.conj(s) + _coef_at_quad(d_fn, mesh, basis)   # (n_elem, nq)
     Msd = element_blocks(factor, basis.w2d, [(1.0, basis.val2d, basis.val2d)])
     out = np.linalg.solve(Msd, rhs[:, :, None])[:, :, 0]
     result = np.empty(dof_w.n_dofs, dtype=complex)

@@ -15,9 +15,6 @@ import numpy as np
 from .errors import ConfigError
 from .quadrature import MAX_ORDER, BasisQp
 
-# Local edge order: bottom, right, top, left.
-EDGE_NORMALS = np.array([[0, -1], [1, 0], [0, 1], [-1, 0]], dtype=int)
-
 
 @dataclass(frozen=True)
 class MeshQ:
@@ -124,16 +121,13 @@ def layered_material(
     return MaterialField(kappa=kappa_fn, rho=rho_fn, interfaces=interfaces)
 
 
-def build_cartesian_mesh(domain, h: float) -> MeshQ:
-    """Mesh the rectangle domain = (x0, x1, y0, y1) with square elements of size h.
+def element_counts(domain, h: float) -> tuple:
+    """Elements (nx, ny) of size h along the sides of domain = (x0, x1, y0, y1).
 
-    Both side lengths must be integer multiples of h (to 1e-9 relative).
+    Raise ConfigError unless both side lengths are integer multiples of h
+    (to 1e-9 relative).
     """
     x0, x1, y0, y1 = (float(v) for v in domain)
-    if h <= 0:
-        raise ValueError(f"element size must be positive, got {h}")
-    if x1 <= x0 or y1 <= y0:
-        raise ValueError(f"degenerate domain {domain}")
     counts = []
     for name, length in (("x", x1 - x0), ("y", y1 - y0)):
         n = round(length / h)
@@ -143,7 +137,20 @@ def build_cartesian_mesh(domain, h: float) -> MeshQ:
                 f"of element size h={h}"
             )
         counts.append(n)
-    nx, ny = counts
+    return tuple(counts)
+
+
+def build_cartesian_mesh(domain, h: float) -> MeshQ:
+    """Mesh the rectangle domain = (x0, x1, y0, y1) with square elements of size h.
+
+    Both side lengths must be integer multiples of h (see element_counts).
+    """
+    x0, x1, y0, y1 = (float(v) for v in domain)
+    if h <= 0:
+        raise ValueError(f"element size must be positive, got {h}")
+    if x1 <= x0 or y1 <= y0:
+        raise ValueError(f"degenerate domain {domain}")
+    nx, ny = element_counts(domain, h)
     hx = (x1 - x0) / nx
     hy = (y1 - y0) / ny
 
@@ -230,21 +237,27 @@ def dof_map(mesh: MeshQ, p: int, kind: str, gll: np.ndarray | None = None) -> Do
                   node_coords=coords, boundary=np.flatnonzero(on_boundary))
 
 
-def check_interface_alignment(mesh: MeshQ, material: MaterialField) -> None:
-    """Raise ConfigError unless every material interface sits on a mesh line.
+def check_interfaces_on_grid(domain, h: float, interfaces) -> None:
+    """Raise ConfigError unless every interface y = c lies on a line of the h-grid over domain.
 
     Interfaces outside the domain cut no element and are ignored.
     """
-    for yv in material.interfaces:
-        if yv < mesh.y0 - 1e-12 or yv > mesh.y1 + 1e-12:
+    y0, y1 = float(domain[2]), float(domain[3])
+    for yv in interfaces:
+        if yv < y0 - 1e-12 or yv > y1 + 1e-12:
             continue
-        k = round((yv - mesh.y0) / mesh.hy)
-        nearest = mesh.y0 + k * mesh.hy
-        if abs(yv - nearest) > 1e-9 * mesh.hy:
+        k = round((yv - y0) / h)
+        nearest = y0 + k * h
+        if abs(yv - nearest) > 1e-9 * h:
             raise ConfigError(
                 f"material interface y={yv} does not align with the mesh; "
                 f"nearest mesh line is y={nearest}"
             )
+
+
+def check_interface_alignment(mesh: MeshQ, material: MaterialField) -> None:
+    """check_interfaces_on_grid for the lines of a built mesh."""
+    check_interfaces_on_grid(mesh.domain, mesh.hy, material.interfaces)
 
 
 def physical_quad_points(mesh: MeshQ, basis: BasisQp):
@@ -256,19 +269,6 @@ def physical_quad_points(mesh: MeshQ, basis: BasisQp):
     X = mesh.elem_origin[:, 0:1] + (a[None, :] + 1.0) * (mesh.hx / 2.0)
     Y = mesh.elem_origin[:, 1:2] + (b[None, :] + 1.0) * (mesh.hy / 2.0)
     return X, Y
-
-
-def elements_in_box(mesh: MeshQ, box, tol: float = 1e-9) -> np.ndarray:
-    """Boolean mask of elements lying entirely inside box = (x0, x1, y0, y1)."""
-    bx0, bx1, by0, by1 = box
-    x0 = mesh.elem_origin[:, 0]
-    y0 = mesh.elem_origin[:, 1]
-    return (
-        (x0 >= bx0 - tol)
-        & (x0 + mesh.hx <= bx1 + tol)
-        & (y0 >= by0 - tol)
-        & (y0 + mesh.hy <= by1 + tol)
-    )
 
 
 def nodes_in_box(dofmap: DofMap, box, tol: float = 1e-9) -> np.ndarray:

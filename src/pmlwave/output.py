@@ -41,8 +41,7 @@ def write_csv(path, header, rows) -> None:
             writer.writerow([_format_cell(v) for v in row])
 
 
-def uniform_lattice_values(u: np.ndarray, mesh: MeshQ, basis: BasisQp,
-                           dofmap: DofMap) -> np.ndarray:
+def uniform_lattice_values(u: np.ndarray, mesh: MeshQ, basis: BasisQp) -> np.ndarray:
     """Evaluate the FE field on the uniform (nx*p+1) x (ny*p+1) lattice.
 
     The lattice subdivides every element into p equal intervals per axis, so
@@ -76,7 +75,7 @@ def export_snapshot_vtk(u: np.ndarray, mesh: MeshQ, basis: BasisQp,
                         dofmap: DofMap, path, field: str = "u") -> None:
     """Legacy-ASCII VTK STRUCTURED_POINTS snapshot on the uniform lattice."""
     p = basis.p
-    vals = uniform_lattice_values(u, mesh, basis, dofmap)
+    vals = uniform_lattice_values(u, mesh, basis)
     nyp, nxp = vals.shape
     sx = (mesh.x1 - mesh.x0) / (nxp - 1)
     sy = (mesh.y1 - mesh.y0) / (nyp - 1)

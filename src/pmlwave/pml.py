@@ -9,7 +9,7 @@ drop out because each of their couplings carries a d_z factor. That
 reduction is hard-coded here; nothing downstream ever sees a psi.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,9 +42,6 @@ class PmlConfig:
     @property
     def enabled(self) -> bool:
         return self.d0_x > 0 or self.d0_y > 0
-
-    def with_strength(self, d0: float) -> "PmlConfig":
-        return replace(self, d0_x=float(d0), d0_y=float(d0))
 
 
 def damping(axis: str, coord, cfg: PmlConfig):

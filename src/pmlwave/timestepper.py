@@ -31,13 +31,10 @@ from .assembly import (
     GaussianPulse,
     Operators,
     assemble_forcing_spatial,
-    assemble_stiffness,
-    assemble_weighted_mass,
     constrain_operators,
     tensor_mass_inverse,
 )
 from .errors import ConfigError, NumericalError
-from .mesh import elements_in_box
 from .solvers import pcg
 
 
@@ -83,20 +80,9 @@ class RunResult:
     final_state: StateView | None = None
 
 
-def energy_matrices(ops: Operators, box=None):
-    """The (mass, stiffness) pair defining E(t): full domain or elements inside box."""
-    if box is None:
-        return ops.M_u, ops.K
-    mask = elements_in_box(ops.mesh, box).astype(float)
-    M = assemble_weighted_mass(
-        ops.mesh, ops.basis, ops.dof_u,
-        lambda x, y: 1.0 / ops.material.kappa(x, y), element_mask=mask,
-    )
-    K = assemble_stiffness(
-        ops.mesh, ops.basis, ops.dof_u,
-        lambda x, y: 1.0 / ops.material.rho(x, y), element_mask=mask,
-    )
-    return M, K
+def energy_matrices(ops: Operators):
+    """The (mass, stiffness) pair defining E(t) over the whole domain: (ops.M_u, ops.K)."""
+    return ops.M_u, ops.K
 
 
 def energy(u: np.ndarray, v: np.ndarray, M, K) -> float:
@@ -244,6 +230,17 @@ class WaveStepper:
         return new
 
 
+def snapshot_steps(snapshot_times, dt: float) -> dict:
+    """Step index -> snapshot time; ConfigError unless each time is a multiple of dt."""
+    steps = {}
+    for ts in snapshot_times:
+        k = round(ts / dt)
+        if abs(k * dt - ts) > 1e-9:
+            raise ConfigError(f"snapshot time {ts} is not a multiple of dt={dt}")
+        steps.setdefault(k, ts)
+    return steps
+
+
 def _cfl_check(ops: Operators, dt: float) -> None:
     # Heuristic only: explicit stages resolve waves crossing a node spacing
     # of roughly h/p^2; warn when dt strays past half of that.
@@ -267,7 +264,6 @@ def run(
     t_end: float,
     initial: tuple | None = None,
     energy_stride: int = 0,
-    energy_box=None,
     watch_nodes=None,
     record_nodes=None,
     snapshot_times=(),
@@ -277,7 +273,7 @@ def run(
 
     initial is an optional (u, v) pair, copied into the state vector; the
     auxiliary fields start at zero, which keeps them zero off the layer.
-    energy_stride > 0 samples E(t) (over energy_box if given) plus the max
+    energy_stride > 0 samples E(t) over the whole domain plus the max
     amplitude over watch_nodes every that many steps. watch_nodes feeds the
     per-step amplitude series; record_nodes stores the full solution history
     at those DOF indices. Snapshot times must be multiples of dt.
@@ -285,12 +281,7 @@ def run(
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
     n_steps = math.ceil(t_end / dt - 1e-9)
-    snap_steps = {}
-    for ts in snapshot_times:
-        k = round(ts / dt)
-        if abs(k * dt - ts) > 1e-9:
-            raise ConfigError(f"snapshot time {ts} is not a multiple of dt={dt}")
-        snap_steps.setdefault(k, ts)
+    snap_steps = snapshot_steps(snapshot_times, dt)
     _cfl_check(ops, dt)
 
     stepper = WaveStepper(ops, forcing, forcing_cutoff=forcing_cutoff)
@@ -300,7 +291,7 @@ def run(
         y[:n], y[n:2 * n] = initial
     y[stepper.pinned] = 0.0
 
-    e_pair = energy_matrices(ops, box=energy_box) if energy_stride else None
+    e_pair = energy_matrices(ops) if energy_stride else None
     result = RunResult()
     if record_nodes is not None:
         record_nodes = np.asarray(record_nodes)

@@ -8,16 +8,17 @@ import scipy.sparse as sp
 
 from pmlwave.assembly import (GaussianPulse, _lattice_mass_1d, apply_dirichlet,
                               assemble_all, assemble_forcing,
-                              assemble_forcing_spatial, assemble_stiffness,
-                              assemble_weighted_mass, l2_project)
+                              assemble_forcing_spatial, assemble_load,
+                              assemble_stiffness, assemble_weighted_mass,
+                              l2_project)
 from pmlwave.errors import NumericalError
 from pmlwave.laplace import projection_pi_p
 from pmlwave.mesh import (MaterialField, build_cartesian_mesh, dof_map,
-                          elements_in_box, homogeneous_material,
-                          layered_material, physical_quad_points)
+                          homogeneous_material, layered_material,
+                          physical_quad_points)
 from pmlwave.pml import PmlConfig, damping, gamma_2d, upsilon_2d
 from pmlwave.quadrature import tensor_basis_tables
-from pmlwave.timestepper import WaveStepper, _live_phi_dofs, energy_matrices
+from pmlwave.timestepper import WaveStepper, _live_phi_dofs
 
 from oracles import OracleProblem, lag
 
@@ -272,7 +273,16 @@ def reference_scatter(rows_cell, cols_cell, blocks, shape):
     return A
 
 
-def reference_operators(ops, mask=None):
+def reference_load(ops, coef):
+    """(coef, v)_h on the continuous space: einsum per element, np.add.at scatter."""
+    mesh, basis = ops.mesh, ops.basis
+    local = np.einsum("q,eq,mq->em", basis.w2d, coef, basis.val2d) * (mesh.hx * mesh.hy / 4.0)
+    out = np.zeros(ops.n_u, dtype=local.dtype)
+    np.add.at(out, ops.dof_u.cell_dofs.ravel(), local.ravel())
+    return out
+
+
+def reference_operators(ops):
     """Every per-point-coefficient operator of ops, from the einsum formulas."""
     mesh, basis, mat = ops.mesh, ops.basis, ops.material
     X, Y = physical_quad_points(mesh, basis)
@@ -292,7 +302,6 @@ def reference_operators(ops, mask=None):
 
     kx = einsum_blocks(w, inv_rho, basis.dxi2d, basis.dxi2d, mesh.hy / mesh.hx)
     ky = einsum_blocks(w, inv_rho, basis.deta2d, basis.deta2d, mesh.hx / mesh.hy)
-    box = 1.0 if mask is None else mask[:, None]
     return {
         "M_u": mass(du, inv_kap),
         "M_d1": mass(du, (dx + dy) * inv_kap),
@@ -306,11 +315,6 @@ def reference_operators(ops, mask=None):
                                                basis.deta2d, mesh.hx / 2.0)),
         "M_phid_x": mass(dphi, dx),
         "M_phid_y": mass(dphi, dy),
-        "box_M": mass(du, inv_kap * box),
-        "box_K": scatter(du, du, einsum_blocks(w, inv_rho * box, basis.dxi2d, basis.dxi2d,
-                                               mesh.hy / mesh.hx)
-                         + einsum_blocks(w, inv_rho * box, basis.deta2d, basis.deta2d,
-                                         mesh.hx / mesh.hy)),
     }
 
 
@@ -354,18 +358,23 @@ def test_element_kernel_matches_four_operand_einsum(p):
     basis = tensor_basis_tables(p)
     mat, pml = wavy_material(), interior_pml()
     ops = assemble_all(mesh, basis, mat, pml, r=0.5)
-    mask = elements_in_box(mesh, (0.0, 0.5, 0.0, 0.75))
-    ref = reference_operators(ops, mask.astype(float))
+    ref = reference_operators(ops)
     inv_rho = lambda x, y: 1.0 / mat.rho(x, y)
-    box_M, box_K = energy_matrices(ops, box=(0.0, 0.5, 0.0, 0.75))
     R_v, R_theta = reference_boundary(ops)
+    # Load vectors: the forcing profile over kappa, and a complex per-point load.
+    X, Y = physical_quad_points(mesh, basis)
+    pulse = GaussianPulse(amplitude=1.7, sigma=0.3, center=(0.4, 0.6))
+    load_q = (1.0 + 2.0j) * np.cos(3.0 * X) * np.exp(1j * Y)
+    ref["forcing"] = reference_load(ops, pulse.spatial(X, Y) / mat.kappa(X, Y))
+    ref["complex_load"] = reference_load(ops, load_q)
     got = {
         "M_u": ops.M_u, "M_d1": ops.M_d1, "M_d0": ops.M_d0, "K": ops.K,
         "G_x": ops.G_x, "G_y": ops.G_y,
         "M_phid_x": ops.M_phid_x, "M_phid_y": ops.M_phid_y,
         "K_x": assemble_stiffness(mesh, basis, ops.dof_u, inv_rho, direction="x"),
         "K_y": assemble_stiffness(mesh, basis, ops.dof_u, inv_rho, direction="y"),
-        "box_M": box_M, "box_K": box_K,
+        "forcing": assemble_forcing_spatial(mesh, basis, mat, ops.dof_u, pulse.spatial),
+        "complex_load": assemble_load(mesh, basis, ops.dof_u, load_q),
     }
     for name, A in got.items():
         err = relative_error(A, ref[name])
@@ -386,7 +395,6 @@ def test_element_kernel_matches_four_operand_einsum(p):
     s = 1.0 + 2.0j
     g = np.random.default_rng(p).standard_normal(ops.n_phi)
     gp = projection_pi_p(g, mesh, basis, ops.dof_phi, lambda x, y: 1.0 + x * y, s)
-    X, Y = physical_quad_points(mesh, basis)
     Msd = np.einsum("q,eq,mq,nq->emn", basis.w2d, np.conj(s) + 1.0 + X * Y,
                     basis.val2d, basis.val2d)
     M0 = np.einsum("q,mq,nq->mn", basis.w2d, basis.val2d, basis.val2d)

@@ -106,6 +106,19 @@ def test_convergence_outputs(tmp_path, capsys):
     assert "order=" in capsys.readouterr().out
 
 
+def test_convergence_refuses_misaligned_h_values_before_any_run(tmp_path, capsys):
+    # The interfaces +-0.6 lie on the h = 0.6 mesh lines, not on those of h = 0.4.
+    data = dict(MICRO)
+    data.update({"material": "layered", "interfaces": [-0.6, 0.6],
+                 "h_values": [0.6, 0.4], "p_values": [1]})
+    path = tmp_path / "conv.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", str(path), "--out", str(out)]) == 2
+    assert "h_values" in capsys.readouterr().err
+    assert not out.exists()  # neither config_used.json nor convergence.csv
+
+
 def test_laplace_verify_passes(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["laplace-verify", "--out", str(out)]) == 0

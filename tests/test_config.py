@@ -81,6 +81,28 @@ def test_layered_interface_alignment():
                           "interfaces": [-2.4, 2.4]})
 
 
+def test_h_values_entry_must_divide_reference_domain():
+    # 0.4 divides the domain (12) but not the reference domain (24.6).
+    data = {"reference_domain": [-12.3, 12.3, -12.3, 12.3], "h_values": [0.6, 0.4]}
+    with pytest.raises(ConfigError, match="reference_domain at h_values = 0.4"):
+        config_from_dict(data)
+    config_from_dict(dict(data, h_values=[0.6, 0.3]))
+
+
+def test_layered_interface_alignment_at_h_values_entry():
+    # +-2.4 lie on the h = 0.3 mesh lines but not on those of h = 0.5.
+    with pytest.raises(ConfigError, match="domain at h_values = 0.5: material interface"):
+        config_from_dict({"material": "layered", "h_values": [0.6, 0.5]})
+
+
+def test_layered_interface_alignment_on_reference_domain():
+    # The reference mesh starts at y = -12.3, so +-2.4 fall midway between its lines.
+    data = {"material": "layered", "h": 0.6, "reference_domain": [-12, 12, -12.3, 12.3]}
+    with pytest.raises(ConfigError, match="reference_domain at h = 0.6: material interface"):
+        config_from_dict(data)
+    config_from_dict(dict(data, material="homogeneous"))
+
+
 def test_t_end_defaults_by_experiment():
     assert config_from_dict({}, experiment="longtime").effective_t_end() == 150.0
     assert config_from_dict({"material": "layered"}).effective_t_end() == 14.0

@@ -3,7 +3,7 @@ import pytest
 
 from pmlwave.errors import ConfigError
 from pmlwave.mesh import (build_cartesian_mesh, check_interface_alignment,
-                          dof_map, elements_in_box, homogeneous_material,
+                          dof_map, homogeneous_material,
                           layered_material, nodes_in_box, physical_quad_points)
 from pmlwave.quadrature import tensor_basis_tables
 
@@ -110,8 +110,6 @@ def test_boxes():
     mesh = build_cartesian_mesh((-1, 1, -1, 1), 0.5)
     basis = tensor_basis_tables(1)
     dm = dof_map(mesh, 1, "continuous", gll=basis.gll_nodes)
-    mask = elements_in_box(mesh, (-0.5, 0.5, -0.5, 0.5))
-    assert mask.dtype == bool and mask.sum() == 4
     idx = nodes_in_box(dm, (-0.5, 0.5, -0.5, 0.5))
     assert idx.shape == (9,)
     assert np.all(np.abs(dm.node_coords[idx]) <= 0.5 + 1e-12)

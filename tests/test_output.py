@@ -42,7 +42,7 @@ def test_uniform_lattice_values_exact_for_polynomial(q2_setup):
     mat = homogeneous_material(1.0)
     f = lambda x, y: x**2 + 2 * x * y - y**2 + 0.5
     u = l2_project(mesh, basis, dofmap, f)
-    lat = uniform_lattice_values(u, mesh, basis, dofmap)
+    lat = uniform_lattice_values(u, mesh, basis)
     assert lat.shape == (5, 5)
     xs = np.linspace(0, 1, 5)
     for jy, y in enumerate(xs):
@@ -114,6 +114,6 @@ def test_uniform_lattice_values_match_per_element_loop():
             ex, ey = e % mesh.nx, e // mesh.nx
             ref[ey * p:ey * p + p + 1, ex * p:ex * p + p + 1] = \
                 (u[dofmap.cell_dofs[e]] @ E2).reshape(p + 1, p + 1)
-        got = uniform_lattice_values(u, mesh, basis, dofmap)
+        got = uniform_lattice_values(u, mesh, basis)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))

@@ -42,7 +42,6 @@ def test_pml_config_validation():
         PmlConfig(delta=0.5, x_inner=1.0, y_inner=1.0, d0_x=-1.0, d0_y=1.0)
     assert not cfg(0.0, 0.0).enabled
     assert cfg(1.0, 0.0).enabled
-    assert cfg().with_strength(7.0).d0_x == 7.0
 
 
 def test_tolerance_value():
