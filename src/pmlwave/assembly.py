@@ -21,6 +21,7 @@ scheme; the coupling operators here must stay the exact transposes they
 are (B_eta^T equals the unit-weight gradient coupling).
 """
 
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -261,6 +262,8 @@ def assemble_all(
     n_phi = dof_phi.n_dofs
 
     def mass(dofmap, coef):
+        if not np.any(coef):  # the damping terms of an undamped problem
+            return sp.csr_matrix((dofmap.n_dofs, dofmap.n_dofs))
         return assemble_weighted_mass(mesh, basis, dofmap, coef)
 
     M_u = mass(dof_u, 1.0 / kap)
@@ -477,8 +480,6 @@ def constrain_operators(ops: Operators) -> Operators:
 
 def dump_matrices(ops: Operators, out_dir) -> list:
     """Write every assembled matrix in MatrixMarket coordinate format."""
-    import os
-
     from scipy.io import mmwrite
 
     os.makedirs(out_dir, exist_ok=True)

@@ -8,13 +8,16 @@ failure.
 """
 
 import argparse
+import json
 import os
 import sys
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
 
-from .config import SimulationConfig, config_from_dict, parse_config, save_config
+from .config import (SimulationConfig, config_from_dict, parse_config, save_config,
+                     validate_config)
 from .errors import ConfigError, NumericalError
 from .experiments import (run_convergence_study, run_laplace_battery,
                           run_longtime_experiment, run_pml_error_experiment,
@@ -28,8 +31,6 @@ def _load_profile(name: str, experiment: str) -> SimulationConfig:
     if name not in PROFILES:
         raise ConfigError(f"unknown profile {name!r}; choose from {PROFILES}")
     ref = resources.files("pmlwave").joinpath(f"profiles/{name}.json")
-    import json
-
     data = json.loads(ref.read_text(encoding="utf-8"))
     return config_from_dict(data, experiment=experiment)
 
@@ -44,8 +45,6 @@ def _load_config(args, experiment: str) -> SimulationConfig:
     else:
         cfg = config_from_dict({}, experiment=experiment)
     if args.out is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, output_dir=args.out)
     return cfg
 
@@ -65,11 +64,7 @@ def _outdir(cfg: SimulationConfig) -> str:
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args, "simulate")
     if args.snapshot_times is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, snapshot_times=_parse_times(args.snapshot_times))
-        from .config import validate_config
-
         validate_config(cfg)
     out = _outdir(cfg)
     save_config(cfg, os.path.join(out, "config_used.json"))

@@ -9,7 +9,7 @@ set explicitly.
 """
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -139,8 +139,9 @@ def config_from_dict(data: dict, experiment: str | None = None) -> SimulationCon
 def validate_config(cfg: SimulationConfig) -> None:
     """Check every config invariant; also for configs edited in code.
 
-    The grid rules are checked against each mesh a run can build: domain
-    and reference_domain, at h and at every h_values entry.
+    Material and layer are checked by building them, the layer at h and at
+    every h_values entry for p and every p_values entry. The grid rules are
+    checked on domain and reference_domain at h and every h_values entry.
     """
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {cfg.experiment!r}")
@@ -160,8 +161,6 @@ def validate_config(cfg: SimulationConfig) -> None:
         raise ConfigError(f"h must be positive, got {cfg.h}")
     if cfg.c0 <= 0:
         raise ConfigError(f"c0 must be positive, got {cfg.c0}")
-    if cfg.d0 is not None and cfg.d0 < 0:
-        raise ConfigError(f"d0 must be nonnegative, got {cfg.d0}")
     if cfg.energy_stride < 0 or cfg.amplitude_stride < 1:
         raise ConfigError("energy_stride must be >= 0 and amplitude_stride >= 1")
 
@@ -179,8 +178,11 @@ def validate_config(cfg: SimulationConfig) -> None:
     xi0, xi1, yi0, yi1 = cfg.inner_box()
     if xi1 <= xi0 or yi1 <= yi0:
         raise ConfigError("delta_pml leaves no interior: the layer covers the whole domain")
-    if cfg.material == "layered" and len(cfg.layer_speeds) != len(cfg.interfaces) + 1:
-        raise ConfigError("layer_speeds must have one more entry than interfaces")
+    try:
+        cfg.material_field()
+    except ValueError as exc:
+        keys = "layer_speeds, interfaces" if cfg.material == "layered" else "wave_speed"
+        raise ConfigError(f"{keys}, rho: {exc}") from exc
 
     sizes = [("h", cfg.h)] + [("h_values", h) for h in cfg.h_values or ()]
     for key, h in sizes:
@@ -191,6 +193,12 @@ def validate_config(cfg: SimulationConfig) -> None:
                     check_interfaces_on_grid(dom, h, cfg.interfaces)
             except ConfigError as exc:
                 raise ConfigError(f"{name} at {key} = {h}: {exc}") from exc
+        for p in (cfg.p, *(cfg.p_values or ())):  # the layer strength depends on h and p
+            try:
+                replace(cfg, p=int(p), h=h).pml_config()
+            except ValueError as exc:
+                raise ConfigError(f"delta_pml, c0, d0, pml_exponent at p = {p}, "
+                                  f"{key} = {h}: {exc}") from exc
     snapshot_steps(cfg.snapshot_times, cfg.dt)
 
 

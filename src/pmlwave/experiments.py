@@ -8,7 +8,7 @@ compared at the shared solution nodes inside that box at every time step.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -16,9 +16,9 @@ from .assembly import Operators, assemble_all, dump_matrices
 from .config import SimulationConfig
 from .errors import ConfigError
 from .mesh import (MeshQ, build_cartesian_mesh, check_interface_alignment,
-                   dof_map, nodes_in_box)
+                   dof_map, homogeneous_material, nodes_in_box, physical_quad_points)
 from .quadrature import BasisQp, tensor_basis_tables
-from .timestepper import RunResult, run
+from .timestepper import RunResult, run, trajectory
 
 
 @dataclass(frozen=True)
@@ -77,18 +77,16 @@ def build_problem(cfg: SimulationConfig, domain=None, damped: bool = True) -> Pr
     return Problem(config=cfg, mesh=mesh, basis=basis, ops=ops)
 
 
-def run_simulation(cfg: SimulationConfig, snapshot_times=None,
-                   matrix_dir=None) -> tuple[Problem, RunResult]:
+def run_simulation(cfg: SimulationConfig, matrix_dir=None) -> tuple[Problem, RunResult]:
     """Single damped run on the truncated domain with full recording."""
     prob = build_problem(cfg, damped=True)
     if matrix_dir is not None:
         dump_matrices(prob.ops, matrix_dir)
     inner = cfg.inner_box()
     watch = nodes_in_box(prob.ops.dof_u, inner)
-    times = cfg.snapshot_times if snapshot_times is None else tuple(snapshot_times)
     result = run(prob.ops, cfg.gaussian_pulse(), cfg.dt, cfg.effective_t_end(),
                  energy_stride=cfg.energy_stride, watch_nodes=watch,
-                 snapshot_times=times)
+                 snapshot_times=cfg.snapshot_times)
     return prob, result
 
 
@@ -129,8 +127,9 @@ def run_pml_error_experiment(cfg: SimulationConfig) -> PmlErrorSeries:
     """Max-norm error of the damped run against the enlarged-domain reference.
 
     Both runs share h, p, dt, forcing and material; the reference disables
-    the layer and relies on domain size. Errors are recorded at every step
-    over the solution nodes inside the observation box.
+    the layer and relies on domain size. The two runs advance in lock-step
+    and are compared at every step over the solution nodes inside the
+    observation box, so neither keeps more than its current state.
     """
     t_end = cfg.effective_t_end()
     _check_reference_reach(cfg, t_end)
@@ -141,15 +140,12 @@ def run_pml_error_experiment(cfg: SimulationConfig) -> PmlErrorSeries:
     prob_ref = build_problem(cfg, domain=cfg.reference_domain, damped=False)
     idx_pml, idx_ref = _matched_inner_nodes(prob_pml, prob_ref, inner)
 
-    res_pml = run(prob_pml.ops, pulse, cfg.dt, t_end, record_nodes=idx_pml)
-    res_ref = run(prob_ref.ops, pulse, cfg.dt, t_end, record_nodes=idx_ref)
-
-    # Reduce in the damped history's own storage: no history-sized temporaries.
-    diff = res_pml.node_values
-    diff -= res_ref.node_values
-    errors = np.max(np.abs(diff, out=diff), axis=1)
-    return PmlErrorSeries(p=cfg.p, h=cfg.h, dt=cfg.dt, times=res_pml.times,
-                          errors=errors, n_nodes=idx_pml.size)
+    steps = zip(trajectory(prob_pml.ops, pulse, cfg.dt, t_end),
+                trajectory(prob_ref.ops, pulse, cfg.dt, t_end), strict=True)
+    errors = np.array([np.max(np.abs(y_pml[idx_pml] - y_ref[idx_ref]))
+                       for y_pml, y_ref in steps])
+    return PmlErrorSeries(p=cfg.p, h=cfg.h, dt=cfg.dt, errors=errors, n_nodes=idx_pml.size,
+                          times=np.arange(errors.size) * cfg.dt)
 
 
 def run_longtime_experiment(cfg: SimulationConfig) -> LongtimeResult:
@@ -176,7 +172,6 @@ def run_laplace_battery(seed: int = 7) -> list[dict]:
     from .laplace import (assemble_reduced, energy_inequality_check,
                           manufactured_convergence, projection_pi_p,
                           quadrature_point_interpolant)
-    from .mesh import homogeneous_material
 
     rng = np.random.default_rng(seed)
     material = homogeneous_material()
@@ -257,8 +252,6 @@ def run_laplace_battery(seed: int = 7) -> list[dict]:
 
 def _projection_residual(g, gp, mesh, basis, dof_w, d_fn, s) -> float:
     """Max elementwise defect of (w, (conj(s)+d) Pg)_h - (w, g)_h."""
-    from .mesh import physical_quad_points
-
     X, Y = physical_quad_points(mesh, basis)
     wq = basis.w2d * (mesh.hx * mesh.hy / 4.0)
     d_q = np.broadcast_to(np.asarray(d_fn(X, Y), dtype=float), X.shape)
@@ -275,8 +268,6 @@ def run_convergence_study(cfg: SimulationConfig) -> list[dict]:
     Returns one row per (p, h) with the final-time max-norm error and the
     observed order against the previous h for the same p.
     """
-    from dataclasses import replace
-
     p_values = cfg.p_values if cfg.p_values is not None else (1, 2)
     h_values = cfg.h_values if cfg.h_values is not None else (0.6, 0.3)
     if len(h_values) < 2:

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .quadrature import MAX_ORDER, BasisQp
+from .quadrature import MAX_ORDER, BasisQp, gauss_lobatto_nodes
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,8 @@ def layered_material(
         raise ValueError("need exactly one more speed than interface lines")
     if any(c <= 0 for c in speeds) or rho <= 0:
         raise ValueError("wave speeds and density must be positive")
-    if list(interfaces) != sorted(interfaces):
-        raise ValueError("interface lines must be strictly increasing")
+    if any(b <= a for a, b in zip(interfaces, interfaces[1:])):
+        raise ValueError(f"interface lines must be strictly increasing, got {interfaces}")
     cuts = np.asarray(interfaces)
     cvals = np.asarray(speeds)
 
@@ -199,8 +199,6 @@ def dof_map(mesh: MeshQ, p: int, kind: str, gll: np.ndarray | None = None) -> Do
     if kind not in ("continuous", "discontinuous"):
         raise ValueError(f"unknown DOF map kind {kind!r}")
     if gll is None:
-        from .quadrature import gauss_lobatto_nodes
-
         gll = gauss_lobatto_nodes(p)
     nloc = (p + 1) ** 2
     n_elem = mesh.n_elem

@@ -71,10 +71,9 @@ def export_snapshot_csv(u: np.ndarray, dofmap: DofMap, path) -> None:
     write_csv(path, ["x", "y", "u"], rows)
 
 
-def export_snapshot_vtk(u: np.ndarray, mesh: MeshQ, basis: BasisQp,
-                        dofmap: DofMap, path, field: str = "u") -> None:
+def export_snapshot_vtk(u: np.ndarray, mesh: MeshQ, basis: BasisQp, path,
+                        field: str = "u") -> None:
     """Legacy-ASCII VTK STRUCTURED_POINTS snapshot on the uniform lattice."""
-    p = basis.p
     vals = uniform_lattice_values(u, mesh, basis)
     nyp, nxp = vals.shape
     sx = (mesh.x1 - mesh.x0) / (nxp - 1)
@@ -100,6 +99,6 @@ def export_snapshot(u: np.ndarray, mesh: MeshQ, basis: BasisQp, dofmap: DofMap,
     if fmt == "csv":
         export_snapshot_csv(u, dofmap, path)
     elif fmt == "vtk":
-        export_snapshot_vtk(u, mesh, basis, dofmap, path)
+        export_snapshot_vtk(u, mesh, basis, path)
     else:
         raise ValueError(f"unknown snapshot format {fmt!r}; use 'csv' or 'vtk'")

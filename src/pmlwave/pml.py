@@ -38,6 +38,9 @@ class PmlConfig:
             raise ValueError("layer width must be positive")
         if self.d0_x < 0 or self.d0_y < 0:
             raise ValueError("damping strengths must be nonnegative")
+        if self.exponent < 1:
+            # ramp**0 is 1 everywhere, so the layer would damp the interior too
+            raise ValueError(f"ramp exponent must be at least 1, got {self.exponent}")
 
     @property
     def enabled(self) -> bool:

@@ -16,7 +16,10 @@ block. rhs writes into a caller's buffer; rk4_step keeps the current stage
 and the running weighted sum of the stages in two buffers allocated once per
 stepper and builds each stage argument in the array it returns, so a step
 allocates little beyond the product, the CG vectors and the new state.
-The time loop is sequential by contract; dt is fixed for the whole run.
+trajectory owns the one time loop and yields the state after each fixed
+step, so a consumer keeps only what it needs: run records energy,
+amplitudes and snapshots, and the layer-error experiment steps two
+trajectories in lock-step, comparing them at every step.
 """
 
 import math
@@ -75,7 +78,6 @@ class RunResult:
     samples: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)   # (t, u.copy()) pairs
     times: np.ndarray | None = None
-    node_values: np.ndarray | None = None           # recorded node history
     amplitudes: np.ndarray | None = None            # max |u| over watched nodes
     final_state: StateView | None = None
 
@@ -257,6 +259,37 @@ def _cfl_check(ops: Operators, dt: float) -> None:
         )
 
 
+def step_count(dt: float, t_end: float) -> int:
+    """Steps ceil(t_end/dt) of a run; ValueError unless dt and t_end are positive."""
+    if dt <= 0 or t_end <= 0:
+        raise ValueError("dt and t_end must be positive")
+    return math.ceil(t_end / dt - 1e-9)
+
+
+def trajectory(ops: Operators, forcing: GaussianPulse | None, dt: float, t_end: float,
+               initial: tuple | None = None, forcing_cutoff: float | None = None):
+    """Yield the state y after each RK4 step k = 0..step_count(dt, t_end).
+
+    initial is an optional (u, v) pair, copied into the state; phi starts at
+    zero, which keeps it zero off the layer. Each yielded array is new and
+    never written again. NumericalError at the first step whose u is not finite.
+    """
+    n_steps = step_count(dt, t_end)
+    _cfl_check(ops, dt)
+    stepper = WaveStepper(ops, forcing, forcing_cutoff=forcing_cutoff)
+    n = ops.n_u
+    y = np.zeros(stepper.n_state)
+    if initial is not None:
+        y[:n], y[n:2 * n] = initial
+    y[stepper.pinned] = 0.0
+    for k in range(n_steps + 1):
+        if k:
+            y = stepper.rk4_step(y, (k - 1) * dt, dt)
+        if not np.all(np.isfinite(y[:n])):
+            raise NumericalError(f"solution became non-finite at t={k * dt:.4f}")
+        yield y
+
+
 def run(
     ops: Operators,
     forcing: GaussianPulse | None,
@@ -265,48 +298,25 @@ def run(
     initial: tuple | None = None,
     energy_stride: int = 0,
     watch_nodes=None,
-    record_nodes=None,
     snapshot_times=(),
     forcing_cutoff: float | None = None,
 ) -> RunResult:
-    """Fixed-step RK4 loop over ceil(t_end/dt) steps with recorders.
+    """Step a trajectory to t_end and keep what the recorders ask for.
 
-    initial is an optional (u, v) pair, copied into the state vector; the
-    auxiliary fields start at zero, which keeps them zero off the layer.
-    energy_stride > 0 samples E(t) over the whole domain plus the max
-    amplitude over watch_nodes every that many steps. watch_nodes feeds the
-    per-step amplitude series; record_nodes stores the full solution history
-    at those DOF indices. Snapshot times must be multiples of dt.
+    energy_stride > 0 samples E(t) and the max amplitude over watch_nodes
+    every that many steps and at the last one; watch_nodes also feeds the
+    per-step amplitude series. Snapshot times are multiples of dt.
     """
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
-    n_steps = math.ceil(t_end / dt - 1e-9)
+    n_steps = step_count(dt, t_end)
     snap_steps = snapshot_steps(snapshot_times, dt)
-    _cfl_check(ops, dt)
-
-    stepper = WaveStepper(ops, forcing, forcing_cutoff=forcing_cutoff)
     n = ops.n_u
-    y = np.zeros(stepper.n_state)
-    if initial is not None:
-        y[:n], y[n:2 * n] = initial
-    y[stepper.pinned] = 0.0
-
     e_pair = energy_matrices(ops) if energy_stride else None
-    result = RunResult()
-    if record_nodes is not None:
-        record_nodes = np.asarray(record_nodes)
-        result.node_values = np.empty((n_steps + 1, len(record_nodes)))
+    result = RunResult(times=np.arange(n_steps + 1) * dt)
     if watch_nodes is not None:
         watch_nodes = np.asarray(watch_nodes)
         result.amplitudes = np.empty(n_steps + 1)
-    result.times = np.arange(n_steps + 1) * dt
-
-    def observe(k: int, y: np.ndarray):
+    for k, y in enumerate(trajectory(ops, forcing, dt, t_end, initial, forcing_cutoff)):
         u = y[:n]
-        if not np.all(np.isfinite(u)):
-            raise NumericalError(f"solution became non-finite at t={k * dt:.4f}")
-        if record_nodes is not None:
-            result.node_values[k] = u[record_nodes]
         if watch_nodes is not None:
             result.amplitudes[k] = float(np.max(np.abs(u[watch_nodes]))) if len(watch_nodes) else 0.0
         if energy_stride and (k % energy_stride == 0 or k == n_steps):
@@ -315,10 +325,5 @@ def run(
             result.samples.append(EnergySample(t=k * dt, E=E, max_amp=amp))
         if k in snap_steps:
             result.snapshots.append((snap_steps[k], u.copy()))
-
-    observe(0, y)
-    for k in range(1, n_steps + 1):
-        y = stepper.rk4_step(y, (k - 1) * dt, dt)
-        observe(k, y)
     result.final_state = StateView(y, n, n_steps * dt)
     return result

@@ -119,6 +119,15 @@ def test_convergence_refuses_misaligned_h_values_before_any_run(tmp_path, capsys
     assert not out.exists()  # neither config_used.json nor convergence.csv
 
 
+def test_simulate_refuses_bad_material_before_writing(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(MICRO, wave_speed=0)))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert "wave_speed" in capsys.readouterr().err
+    assert not out.exists()  # no config_used.json
+
+
 def test_laplace_verify_passes(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["laplace-verify", "--out", str(out)]) == 0

@@ -176,3 +176,33 @@ def test_bundled_profiles_parse():
         assert isinstance(cfg, SimulationConfig)
         assert max(cfg.p_values) == pmax
         assert cfg.h_values is not None and len(cfg.h_values) >= 2
+
+
+@pytest.mark.parametrize("bad, keys", [
+    ({"wave_speed": 0}, "wave_speed, rho"),
+    ({"rho": -1}, "wave_speed, rho"),
+    ({"material": "layered", "layer_speeds": [-1, 1, 1]}, "layer_speeds"),
+    ({"material": "layered", "interfaces": [2.4, -2.4]}, "interfaces"),
+    ({"material": "layered", "interfaces": [2.4, 2.4]}, "interfaces"),
+    ({"material": "layered", "layer_speeds": [1.0, 1.0]}, "layer_speeds"),
+])
+def test_material_values_refused_with_their_keys(bad, keys):
+    with pytest.raises(ConfigError, match=keys):
+        config_from_dict(bad)
+
+
+@pytest.mark.parametrize("exponent", [0, -1, 0.5])
+def test_pml_exponent_below_one_refused(exponent):
+    # exponent 0 would damp the whole interior at full strength
+    with pytest.raises(ConfigError, match="pml_exponent"):
+        config_from_dict({"pml_exponent": exponent})
+    assert config_from_dict({"pml_exponent": 1}).pml_config().exponent == 1
+
+
+def test_layer_tolerance_checked_at_h_values_entry():
+    # At p = 1, h = 1.2 and delta_pml = 0.6 the target tolerance is 2, not below 1.
+    data = {"domain": [-6, 6, -6, 6], "reference_domain": [-12, 12, -12, 12],
+            "h": 0.6, "h_values": [1.2, 0.6], "p_values": [1]}
+    with pytest.raises(ConfigError, match="h_values = 1.2: tolerance"):
+        config_from_dict(data)
+    config_from_dict(dict(data, h_values=[0.6, 0.3]))

@@ -9,6 +9,7 @@ from pmlwave.experiments import (LongtimeResult, _matched_inner_nodes,
                                  run_pml_error_experiment, run_simulation)
 from pmlwave.mesh import build_cartesian_mesh, dof_map, physical_quad_points
 from pmlwave.quadrature import tensor_basis_tables
+from pmlwave.timestepper import WaveStepper
 
 MICRO = {
     "domain": [-1.2, 1.2, -1.2, 1.2],
@@ -33,6 +34,7 @@ def test_build_problem_damping_switch():
     free = build_problem(cfg, damped=False)
     assert damped.ops.has_damping and not free.ops.has_damping
     assert free.ops.B_x.nnz == 0 and free.ops.G_y.nnz == 0
+    assert free.ops.M_d1.nnz == free.ops.M_d0.nnz == free.ops.M_phid_x.nnz == 0
     ref = build_problem(cfg, domain=cfg.reference_domain, damped=False)
     assert ref.mesh.nx == 2 * free.mesh.nx
 
@@ -74,6 +76,43 @@ def test_pml_error_series_shape():
     assert series.errors[0] == 0.0
     assert series.final_error == series.errors[-1]
     assert series.max_error == np.max(series.errors)
+
+
+def test_pml_error_steps_both_runs_in_lock_step(monkeypatch):
+    calls = []
+    rk4_step = WaveStepper.rk4_step
+
+    def counting_step(self, *args, **kwargs):
+        calls.append(self)
+        return rk4_step(self, *args, **kwargs)
+
+    monkeypatch.setattr(WaveStepper, "rk4_step", counting_step)
+    run_pml_error_experiment(micro_cfg())
+    damped, reference = calls[0], calls[1]
+    assert damped.ops.has_damping and not reference.ops.has_damping
+    assert calls == [damped, reference] * 10
+
+
+@pytest.mark.parametrize("r", [-1.0, 0.5])
+def test_pml_error_series_matches_separate_runs(r):
+    cfg = micro_cfg(r=r)
+    pml = build_problem(cfg, domain=cfg.domain, damped=True)
+    ref = build_problem(cfg, domain=cfg.reference_domain, damped=False)
+    idx_pml, idx_ref = _matched_inner_nodes(pml, ref, cfg.inner_box())
+    box_values = []
+    for prob, idx in ((pml, idx_pml), (ref, idx_ref)):
+        stepper = WaveStepper(prob.ops, cfg.gaussian_pulse())
+        y = np.zeros(stepper.n_state)
+        values = [y[idx]]
+        for k in range(10):
+            y = stepper.rk4_step(y, k * cfg.dt, cfg.dt)
+            values.append(y[idx])
+        box_values.append(np.array(values))
+    expect = np.max(np.abs(box_values[0] - box_values[1]), axis=1)
+    series = run_pml_error_experiment(cfg)
+    assert np.array_equal(series.errors, expect)
+    assert np.array_equal(series.times, np.arange(11) * cfg.dt)
+    assert series.final_error > 0.0
 
 
 def test_zero_forcing_gives_zero_error():

@@ -70,7 +70,7 @@ def test_snapshot_vtk(tmp_path, q2_setup):
     f = lambda x, y: x + 10 * y
     u = l2_project(mesh, basis, dofmap, f)
     path = tmp_path / "snap.vtk"
-    export_snapshot_vtk(u, mesh, basis, dofmap, path)
+    export_snapshot_vtk(u, mesh, basis, path)
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# vtk DataFile Version")
     assert lines[2] == "ASCII"

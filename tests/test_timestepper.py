@@ -341,9 +341,7 @@ def test_recorders_shapes():
     ops = small_ops(damped=False)
     watch = np.array([0, 1, 2])
     res = run(ops, GaussianPulse(center=(0.5, 0.5), t0=0.05, tau=0.02, sigma=0.2),
-              0.01, 0.1, watch_nodes=watch, record_nodes=np.array([5, 6]),
-              energy_stride=5)
+              0.01, 0.1, watch_nodes=watch, energy_stride=5)
     assert res.times.shape == (11,)
     assert res.amplitudes.shape == (11,)
-    assert res.node_values.shape == (11, 2)
     assert [s.t for s in res.samples] == pytest.approx([0.0, 0.05, 0.1])
