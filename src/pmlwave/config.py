@@ -62,6 +62,14 @@ class SimulationConfig:
             return 150.0
         return 14.0 if self.material == "layered" else 10.0
 
+    def study_grid(self) -> tuple[tuple, tuple]:
+        """(p_values, h_values) of the convergence study.
+
+        Unset values default to p = (1, 2) and h = (0.6, 0.3).
+        """
+        return (self.p_values if self.p_values is not None else (1, 2),
+                self.h_values if self.h_values is not None else (0.6, 0.3))
+
     def inner_box(self, domain=None) -> tuple:
         x0, x1, y0, y1 = domain if domain is not None else self.domain
         d = self.delta_pml
@@ -142,6 +150,8 @@ def validate_config(cfg: SimulationConfig) -> None:
     Material and layer are checked by building them, the layer at h and at
     every h_values entry for p and every p_values entry. The grid rules are
     checked on domain and reference_domain at h and every h_values entry.
+    For the convergence experiment those entries are its study grid,
+    defaults included; the other experiments check only configured ones.
     """
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {cfg.experiment!r}")
@@ -184,7 +194,11 @@ def validate_config(cfg: SimulationConfig) -> None:
         keys = "layer_speeds, interfaces" if cfg.material == "layered" else "wave_speed"
         raise ConfigError(f"{keys}, rho: {exc}") from exc
 
-    sizes = [("h", cfg.h)] + [("h_values", h) for h in cfg.h_values or ()]
+    if cfg.experiment == "convergence":
+        p_values, h_values = cfg.study_grid()
+    else:
+        p_values, h_values = cfg.p_values or (), cfg.h_values or ()
+    sizes = [("h", cfg.h)] + [("h_values", h) for h in h_values]
     for key, h in sizes:
         for name, dom in domains:
             try:
@@ -193,7 +207,7 @@ def validate_config(cfg: SimulationConfig) -> None:
                     check_interfaces_on_grid(dom, h, cfg.interfaces)
             except ConfigError as exc:
                 raise ConfigError(f"{name} at {key} = {h}: {exc}") from exc
-        for p in (cfg.p, *(cfg.p_values or ())):  # the layer strength depends on h and p
+        for p in (cfg.p, *p_values):  # the layer strength depends on h and p
             try:
                 replace(cfg, p=int(p), h=h).pml_config()
             except ValueError as exc:

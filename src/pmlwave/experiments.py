@@ -268,8 +268,7 @@ def run_convergence_study(cfg: SimulationConfig) -> list[dict]:
     Returns one row per (p, h) with the final-time max-norm error and the
     observed order against the previous h for the same p.
     """
-    p_values = cfg.p_values if cfg.p_values is not None else (1, 2)
-    h_values = cfg.h_values if cfg.h_values is not None else (0.6, 0.3)
+    p_values, h_values = cfg.study_grid()
     if len(h_values) < 2:
         raise ConfigError("convergence study needs at least two h values")
     rows = []

@@ -119,6 +119,18 @@ def test_convergence_refuses_misaligned_h_values_before_any_run(tmp_path, capsys
     assert not out.exists()  # neither config_used.json nor convergence.csv
 
 
+def test_convergence_checks_default_grid_before_writing(tmp_path, capsys):
+    # h = 0.7 fits the domain, but the default study grid's h = 0.6 does not.
+    path = tmp_path / "conv.json"
+    path.write_text(json.dumps({"domain": [-7, 7, -7, 7],
+                                "reference_domain": [-14, 14, -14, 14],
+                                "h": 0.7, "delta_pml": 0.7}))
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", str(path), "--out", str(out)]) == 2
+    assert "h_values = 0.6" in capsys.readouterr().err
+    assert not out.exists()  # no config_used.json
+
+
 def test_simulate_refuses_bad_material_before_writing(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(dict(MICRO, wave_speed=0)))

@@ -1,6 +1,8 @@
 """Static checks over the package sources."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,3 +74,13 @@ def test_scan_finds_an_unread_parameter():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     assert unread_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_import_leaves_the_laplace_lab_unloaded():
+    # The Laplace lab and its sparse direct solver stay off the time-domain start-up path.
+    lazy = ["pmlwave.laplace", "scipy.sparse.linalg", "scipy.io"]
+    code = ("import sys, pmlwave.cli\n"
+            f"print(*[m for m in {lazy!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=Path(pmlwave.__file__).parent.parent, check=True)
+    assert proc.stdout.split() == []

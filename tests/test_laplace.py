@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from pmlwave.errors import ConfigError, NumericalError
 from pmlwave.laplace import (assemble_reduced, data_energy,
@@ -98,6 +99,41 @@ def test_solve_residual_and_boundary():
     b_eff[system.dof_u.boundary] = 0.0
     res = np.linalg.norm(system.A @ u - b_eff) / np.linalg.norm(b_eff)
     assert res <= 1e-10
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_solve_matches_dense_solve_on_indefinite_system(p):
+    # Im s > Re s makes Re s^2 < 0, so the mass term pulls A(s) indefinite.
+    mesh = unit_mesh()
+    system = assemble_reduced(mesh, tensor_basis_tables(p), homogeneous_material(),
+                              0.5 + 3.0j, 5.0, 5.0)
+    rng = np.random.default_rng(p)
+    n = system.A.shape[0]
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    b[system.dof_u.boundary] = 0.0
+    expect = np.linalg.solve(system.A.toarray(), b)
+    u = solve(system, b)
+    assert np.max(np.abs(u - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+def test_solve_refuses_an_inaccurate_factor(monkeypatch):
+    factor = spla.splu
+
+    class Perturbed:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            x = self.lu.solve(rhs)
+            noise = np.random.default_rng(0).standard_normal(x.shape)
+            return x + 1e-6 * np.max(np.abs(x)) * noise
+
+    monkeypatch.setattr(spla, "splu", lambda A, **kw: Perturbed(factor(A, **kw)))
+    system = assemble_reduced(unit_mesh(), tensor_basis_tables(2), homogeneous_material(),
+                              1.0 + 4.0j, 3.0, 0.5)
+    b = np.random.default_rng(4).standard_normal(system.A.shape[0])
+    with pytest.raises(NumericalError, match="backward error"):
+        solve(system, b)
 
 
 def test_polynomial_manufactured_solution_is_exact():
