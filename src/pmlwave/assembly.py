@@ -334,37 +334,6 @@ def assemble_forcing_spatial(
                          lambda x, y: spatial(x, y) / material.kappa(x, y))
 
 
-def assemble_forcing(
-    mesh: MeshQ,
-    basis: BasisQp,
-    material: MaterialField,
-    dofmap: DofMap,
-    pulse: GaussianPulse,
-    t: float,
-) -> np.ndarray:
-    """Full load vector ((1/kappa) F(., t), v)_h for the separable pulse."""
-    return pulse.envelope(t) * assemble_forcing_spatial(
-        mesh, basis, material, dofmap, pulse.spatial
-    )
-
-
-def l2_project(mesh: MeshQ, basis: BasisQp, dofmap: DofMap, g) -> np.ndarray:
-    """L2 projection of g onto the requested space: solve M x = (g, v)_h.
-
-    Discontinuous spaces solve element blocks directly. The continuous
-    unit-weight mass is exactly M_y (x) M_x, so its tensor-product inverse
-    solves it in one application.
-    """
-    load = assemble_load(mesh, basis, dofmap, g)
-    if dofmap.kind == "continuous":
-        return tensor_mass_inverse(mesh, basis, 1.0, pinned=False)(load)
-    cells = dofmap.cell_dofs
-    J = mesh.hx * mesh.hy / 4.0
-    out = np.empty_like(load)
-    out[cells] = np.linalg.solve(J * reference_mass(basis), load[cells].T).T
-    return out
-
-
 def _lattice_mass_1d(basis: BasisQp, half_h: float, coef_1d) -> np.ndarray:
     """Dense 1D mass (coef u, v) on the n_el*p+1 node lattice; coef_1d is (n_el, p+1)."""
     n_el, p = coef_1d.shape[0], basis.p
@@ -415,23 +384,6 @@ def tensor_mass_inverse(mesh: MeshQ, basis: BasisQp, weight, pinned: bool):
     return apply
 
 
-def apply_dirichlet(ops: Operators, obj, diag: float = 1.0):
-    """Constrain a vector or matrix to the recorded Dirichlet DOF set.
-
-    Vectors of u-space length get boundary entries zeroed. Matrices go
-    through eliminate_dirichlet. Returns a new object.
-    """
-    if ops.dirichlet is None:
-        raise ValueError("operators were not assembled with r = -1")
-    if isinstance(obj, np.ndarray):
-        if obj.shape[0] != ops.n_u:
-            raise ValueError("vector length does not match the continuous space")
-        out = obj.copy()
-        out[ops.dirichlet] = 0.0
-        return out
-    return eliminate_dirichlet(obj, ops.dirichlet, ops.n_u, diag=diag)
-
-
 def eliminate_dirichlet(A, boundary: np.ndarray, n: int, diag=1.0) -> sp.csr_matrix:
     """Strong Dirichlet elimination of the DOFs `boundary` of an n-sized space.
 
@@ -469,12 +421,12 @@ def constrain_operators(ops: Operators) -> Operators:
         return ops
     return replace(
         ops,
-        M_u=apply_dirichlet(ops, ops.M_u, diag=1.0),
-        K=apply_dirichlet(ops, ops.K, diag=1.0),
-        M_d1=apply_dirichlet(ops, ops.M_d1, diag=0.0),
-        M_d0=apply_dirichlet(ops, ops.M_d0, diag=0.0),
-        B_x=apply_dirichlet(ops, ops.B_x),
-        B_y=apply_dirichlet(ops, ops.B_y),
+        M_u=eliminate_dirichlet(ops.M_u, ops.dirichlet, ops.n_u, diag=1.0),
+        K=eliminate_dirichlet(ops.K, ops.dirichlet, ops.n_u, diag=1.0),
+        M_d1=eliminate_dirichlet(ops.M_d1, ops.dirichlet, ops.n_u, diag=0.0),
+        M_d0=eliminate_dirichlet(ops.M_d0, ops.dirichlet, ops.n_u, diag=0.0),
+        B_x=eliminate_dirichlet(ops.B_x, ops.dirichlet, ops.n_u),
+        B_y=eliminate_dirichlet(ops.B_y, ops.dirichlet, ops.n_u),
     )
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .config import (SimulationConfig, config_from_dict, parse_config, save_config,
                      validate_config)
 from .errors import ConfigError, NumericalError
-from .experiments import (run_convergence_study, run_laplace_battery,
+from .experiments import (LAPLACE_COLUMNS, run_convergence_study, run_laplace_battery,
                           run_longtime_experiment, run_pml_error_experiment,
                           run_simulation)
 from .output import export_snapshot, format_float, write_csv
@@ -135,10 +135,8 @@ def _cmd_laplace_verify(args) -> int:
     cfg = _load_config(args, "laplace-verify")
     out = _outdir(cfg)
     rows = run_laplace_battery()
-    header = ["check", "p", "h", "s_re", "s_im", "d_x", "d_y",
-              "lhs", "rhs", "value", "passed"]
-    write_csv(os.path.join(out, "laplace_report.csv"), header,
-              [tuple(r[k] for k in header) for r in rows])
+    write_csv(os.path.join(out, "laplace_report.csv"), LAPLACE_COLUMNS,
+              [tuple(r[k] for k in LAPLACE_COLUMNS) for r in rows])
     n_fail = sum(not r["passed"] for r in rows)
     by_check = {}
     for r in rows:

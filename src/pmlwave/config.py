@@ -18,6 +18,7 @@ from .errors import ConfigError
 from .mesh import (MaterialField, check_interfaces_on_grid, element_counts,
                    homogeneous_material, layered_material)
 from .pml import PmlConfig, damping_strength, tolerance
+from .quadrature import MAX_ORDER
 from .timestepper import snapshot_steps
 
 EXPERIMENTS = ("simulate", "pml-error", "longtime", "convergence", "laplace-verify")
@@ -106,7 +107,7 @@ class SimulationConfig:
             d0x = damping_strength(c_x, self.delta_pml, tol)
             d0y = damping_strength(c_y, self.delta_pml, tol)
         return PmlConfig(delta=self.delta_pml, x_inner=xi1, y_inner=yi1,
-                         d0_x=d0x, d0_y=d0y, exponent=self.pml_exponent, c0=self.c0)
+                         d0_x=d0x, d0_y=d0y, exponent=self.pml_exponent)
 
 
 _DEFAULTS = SimulationConfig()
@@ -157,8 +158,8 @@ def validate_config(cfg: SimulationConfig) -> None:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {cfg.experiment!r}")
     if cfg.material not in ("homogeneous", "layered"):
         raise ConfigError(f"material must be 'homogeneous' or 'layered', got {cfg.material!r}")
-    if not 1 <= int(cfg.p) <= 8:
-        raise ConfigError(f"p must be in 1..8, got {cfg.p}")
+    if not 1 <= int(cfg.p) <= MAX_ORDER:
+        raise ConfigError(f"p must be in 1..{MAX_ORDER}, got {cfg.p}")
     if not -1.0 <= cfg.r <= 1.0:
         raise ConfigError(f"r must lie in [-1, 1], got {cfg.r}")
     if cfg.dt <= 0:
@@ -174,10 +175,12 @@ def validate_config(cfg: SimulationConfig) -> None:
     if cfg.energy_stride < 0 or cfg.amplitude_stride < 1:
         raise ConfigError("energy_stride must be >= 0 and amplitude_stride >= 1")
 
+    if cfg.h_values is not None and len(cfg.h_values) < 2:
+        raise ConfigError(f"h_values must list at least two h values, got {list(cfg.h_values)}")
     if cfg.h_values is not None and any(h <= 0 for h in cfg.h_values):
         raise ConfigError("h_values must be positive")
-    if cfg.p_values is not None and any(not 1 <= p <= 8 for p in cfg.p_values):
-        raise ConfigError("p_values must be in 1..8")
+    if cfg.p_values is not None and any(not 1 <= p <= MAX_ORDER for p in cfg.p_values):
+        raise ConfigError(f"p_values must be in 1..{MAX_ORDER}")
     domains = (("domain", cfg.domain), ("reference_domain", cfg.reference_domain))
     for name, dom in domains:
         if len(dom) != 4:

@@ -21,8 +21,7 @@ class PmlConfig:
     delta is the layer width; damping along x starts at |x| = x_inner and
     ramps as d0_x*((|x| - x_inner)/delta)^exponent, likewise for y. The
     strengths are kept per axis so heterogeneous media can use the fastest
-    wave speed seen by each axis's strips. c0 is the tolerance constant used
-    when a strength is derived from the mesh resolution.
+    wave speed seen by each axis's strips.
     """
 
     delta: float
@@ -31,7 +30,6 @@ class PmlConfig:
     d0_x: float
     d0_y: float
     exponent: int = 3
-    c0: float = 2.0
 
     def __post_init__(self):
         if self.delta <= 0:

@@ -6,11 +6,10 @@ from numpy.polynomial import legendre as npleg
 
 import scipy.sparse as sp
 
-from pmlwave.assembly import (GaussianPulse, _lattice_mass_1d, apply_dirichlet,
-                              assemble_all, assemble_forcing,
+from pmlwave.assembly import (GaussianPulse, _lattice_mass_1d, assemble_all,
                               assemble_forcing_spatial, assemble_load,
                               assemble_stiffness, assemble_weighted_mass,
-                              l2_project)
+                              eliminate_dirichlet)
 from pmlwave.errors import NumericalError
 from pmlwave.laplace import projection_pi_p
 from pmlwave.mesh import (MaterialField, build_cartesian_mesh, dof_map,
@@ -172,7 +171,7 @@ def test_forcing_vector_matches_manual_quadrature():
     dm = dof_map(mesh, 2, "continuous", gll=basis.gll_nodes)
     pulse = GaussianPulse(amplitude=1.7, sigma=0.3, center=(0.4, 0.6), t0=1.0, tau=0.25)
 
-    f = assemble_forcing(mesh, basis, mat, dm, pulse, t=0.75)
+    f = pulse.envelope(0.75) * assemble_forcing_spatial(mesh, basis, mat, dm, pulse.spatial)
     # manual: envelope(t) * sum_e sum_q w_q J spatial/kappa phi_m
     from pmlwave.mesh import physical_quad_points
 
@@ -195,33 +194,14 @@ def test_envelope_and_spatial_values():
     assert pulse.spatial(0.25, 0.0) == pytest.approx(np.exp(-0.5))
 
 
-@pytest.mark.parametrize("kind", ["continuous", "discontinuous"])
-def test_l2_project_recovers_polynomial(kind):
-    mesh = build_cartesian_mesh((0.0, 1.0, 0.0, 1.0), 0.25)
-    basis = tensor_basis_tables(2)
-    dm = dof_map(mesh, 2, kind, gll=basis.gll_nodes)
-
-    def g(x, y):
-        return 1.0 + 2.0 * x - y + 0.5 * x * y + x**2
-
-    u = l2_project(mesh, basis, dm, g)
-    expect = g(dm.node_coords[:, 0], dm.node_coords[:, 1])
-    assert np.max(np.abs(u - expect)) <= 1e-10
-
-
-def test_apply_dirichlet():
+def test_eliminate_dirichlet_pins_boundary_rows_and_columns():
     mesh = build_cartesian_mesh((0.0, 1.0, 0.0, 1.0), 0.5)
     basis = tensor_basis_tables(1)
     ops = assemble_all(mesh, basis, homogeneous_material(), None, r=-1.0)
     bnd = ops.dirichlet
     assert bnd is not None and len(bnd) == 8
 
-    v = np.ones(ops.n_u)
-    v2 = apply_dirichlet(ops, v)
-    assert np.all(v2[bnd] == 0.0)
-    assert v2.sum() == pytest.approx(ops.n_u - len(bnd))
-
-    K = apply_dirichlet(ops, ops.K, diag=1.0).toarray()
+    K = eliminate_dirichlet(ops.K, bnd, ops.n_u, diag=1.0).toarray()
     assert np.allclose(K[bnd][:, bnd], np.eye(len(bnd)))
     inner = np.setdiff1d(np.arange(ops.n_u), bnd)
     assert np.all(K[bnd][:, inner] == 0.0)

@@ -131,6 +131,15 @@ def test_convergence_checks_default_grid_before_writing(tmp_path, capsys):
     assert not out.exists()  # no config_used.json
 
 
+def test_convergence_refuses_a_single_h_value_before_writing(tmp_path, capsys):
+    path = tmp_path / "conv.json"
+    path.write_text(json.dumps({"h_values": [0.6]}))
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", str(path), "--out", str(out)]) == 2
+    assert "h_values" in capsys.readouterr().err
+    assert not out.exists()  # no config_used.json
+
+
 def test_simulate_refuses_bad_material_before_writing(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(dict(MICRO, wave_speed=0)))

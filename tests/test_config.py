@@ -158,6 +158,12 @@ def test_material_field_construction():
     assert lay.wave_speed(0.0, 5.0) == pytest.approx(0.75)
 
 
+def test_simulate_refuses_a_single_h_value():
+    with pytest.raises(ConfigError, match="h_values must list at least two"):
+        config_from_dict({"h_values": [0.6]}, experiment="simulate")
+    config_from_dict({"h_values": [0.6, 0.3]}, experiment="simulate")
+
+
 def test_validate_config_on_programmatic_edit():
     from dataclasses import replace
 

@@ -3,10 +3,11 @@ import pytest
 
 from pmlwave.config import config_from_dict
 from pmlwave.errors import ConfigError
-from pmlwave.experiments import (LongtimeResult, _matched_inner_nodes,
+from pmlwave.experiments import (LAPLACE_COLUMNS, LongtimeResult, _matched_inner_nodes,
                                  _projection_residual, build_problem,
-                                 run_convergence_study, run_longtime_experiment,
-                                 run_pml_error_experiment, run_simulation)
+                                 run_convergence_study, run_laplace_battery,
+                                 run_longtime_experiment, run_pml_error_experiment,
+                                 run_simulation)
 from pmlwave.mesh import build_cartesian_mesh, dof_map, physical_quad_points
 from pmlwave.quadrature import tensor_basis_tables
 from pmlwave.timestepper import WaveStepper
@@ -146,6 +147,14 @@ def test_convergence_study_rows():
     assert np.isnan(rows[0]["order"]) and np.isfinite(rows[1]["order"])
     with pytest.raises(ConfigError, match="two h values"):
         run_convergence_study(micro_cfg(h_values=[0.6]))
+
+
+def test_laplace_battery_rows_hold_exactly_the_report_columns():
+    rows = run_laplace_battery()
+    assert all(tuple(r) == LAPLACE_COLUMNS for r in rows)
+    # A column a check does not use holds NaN, not a value from another check.
+    recovery = [r for r in rows if r["check"] == "interpolant-recovery"]
+    assert recovery and all(np.isnan(r["h"]) and np.isnan(r["lhs"]) for r in recovery)
 
 
 def test_projection_residual_matches_per_element_reference():

@@ -84,3 +84,53 @@ def test_cli_import_leaves_the_laplace_lab_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           cwd=Path(pmlwave.__file__).parent.parent, check=True)
     assert proc.stdout.split() == []
+
+
+REPO = Path(__file__).resolve().parents[1]
+CALLERS = sorted([*Path(pmlwave.__file__).parent.glob("*.py"), *(REPO / "scripts").glob("*.py"),
+                  *(REPO / "perfbench").glob("*.py")])
+
+
+def referenced_names(sources) -> set:
+    """Every Name and Attribute in the sources, and the leaf of each HOOKS target.
+
+    perfbench's HOOKS entries name the functions they wrap in strings.
+    """
+    names = set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif (isinstance(node, ast.Assign) and
+                  any(isinstance(t, ast.Name) and t.id == "HOOKS" for t in node.targets)):
+                names.update(attr.rpartition(".")[2]
+                             for _, _, attr in ast.literal_eval(node.value))
+    return names
+
+
+def uncalled_functions(source: str, referenced: set, exported) -> list:
+    """Module-level functions of source that no caller names and the package does not export."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+    return sorted(f"{node.name} (line {node.lineno})" for node in ast.parse(source).body
+                  if isinstance(node, kinds) and node.name not in referenced
+                  and node.name not in exported)
+
+
+def test_scan_finds_an_uncalled_function():
+    module = ("def used():\n    return 1\n\n"
+              "def exported():\n    return 2\n\n"
+              "def hooked():\n    return 3\n\n"
+              "def planted():\n    return used()\n")
+    caller = "HOOKS = ((\"layer.hooked\", \"pkg.mod\", \"Owner.hooked\"),)\n"
+    referenced = referenced_names([module, caller])
+    assert uncalled_functions(module, referenced, ["exported"]) == ["planted (line 10)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_function_has_a_caller_or_is_exported(path):
+    referenced = referenced_names(p.read_text(encoding="utf-8") for p in CALLERS)
+    assert uncalled_functions(path.read_text(encoding="utf-8"), referenced,
+                              pmlwave.__all__) == []

@@ -3,7 +3,6 @@ import csv
 import numpy as np
 import pytest
 
-from pmlwave.assembly import l2_project
 from pmlwave.mesh import build_cartesian_mesh, dof_map, homogeneous_material
 from pmlwave.output import (export_snapshot, export_snapshot_csv,
                             export_snapshot_vtk, format_float,
@@ -41,7 +40,7 @@ def test_uniform_lattice_values_exact_for_polynomial(q2_setup):
     mesh, basis, dofmap = q2_setup
     mat = homogeneous_material(1.0)
     f = lambda x, y: x**2 + 2 * x * y - y**2 + 0.5
-    u = l2_project(mesh, basis, dofmap, f)
+    u = f(*dofmap.node_coords.T)
     lat = uniform_lattice_values(u, mesh, basis)
     assert lat.shape == (5, 5)
     xs = np.linspace(0, 1, 5)
@@ -68,7 +67,7 @@ def test_snapshot_vtk(tmp_path, q2_setup):
     mesh, basis, dofmap = q2_setup
     mat = homogeneous_material(1.0)
     f = lambda x, y: x + 10 * y
-    u = l2_project(mesh, basis, dofmap, f)
+    u = f(*dofmap.node_coords.T)
     path = tmp_path / "snap.vtk"
     export_snapshot_vtk(u, mesh, basis, path)
     lines = path.read_text().splitlines()

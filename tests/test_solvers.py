@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pmlwave.assembly import apply_dirichlet, assemble_all, tensor_mass_inverse
+from pmlwave.assembly import assemble_all, eliminate_dirichlet, tensor_mass_inverse
 from pmlwave.errors import NumericalError
 from pmlwave.mesh import (MaterialField, build_cartesian_mesh, homogeneous_material,
                           layered_material, physical_quad_points)
@@ -36,7 +36,7 @@ def mass_case(material, p, domain, h, pinned):
     mesh = build_cartesian_mesh(domain, h)
     basis = tensor_basis_tables(p)
     ops = assemble_all(mesh, basis, material, None, r=-1.0 if pinned else 1.0)
-    M = apply_dirichlet(ops, ops.M_u, diag=1.0) if pinned else ops.M_u
+    M = eliminate_dirichlet(ops.M_u, ops.dirichlet, ops.n_u, diag=1.0) if pinned else ops.M_u
     return mesh, basis, M
 
 
