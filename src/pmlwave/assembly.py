@@ -334,10 +334,15 @@ def assemble_forcing_spatial(
                          lambda x, y: spatial(x, y) / material.kappa(x, y))
 
 
-def _lattice_mass_1d(basis: BasisQp, half_h: float, coef_1d) -> np.ndarray:
-    """Dense 1D mass (coef u, v) on the n_el*p+1 node lattice; coef_1d is (n_el, p+1)."""
+def lattice_matrix_1d(basis: BasisQp, coef_1d, scale: float, table) -> np.ndarray:
+    """Dense 1D scale * (coef table u, table v) on the n_el*p+1 node lattice.
+
+    coef_1d is (n_el, p+1), at the 1D quadrature points. The mass takes (half_h,
+    basis.val1d) and the stiffness (1/half_h, basis.der1d); with unit weight, in the
+    (y, x) order of dof_map, M_u = M_y (x) M_x / kappa and K = (M_y (x) K_x + K_y (x) M_x) / rho.
+    """
     n_el, p = coef_1d.shape[0], basis.p
-    blocks = element_blocks(coef_1d, basis.quad.weights, [(half_h, basis.val1d, basis.val1d)])
+    blocks = element_blocks(coef_1d, basis.quad.weights, [(scale, table, table)])
     cells = np.arange(n_el)[:, None] * p + np.arange(p + 1)
     n = n_el * p + 1
     return _scatter(cells, cells, blocks, (n, n)).toarray()
@@ -361,7 +366,7 @@ def tensor_mass_inverse(mesh: MeshQ, basis: BasisQp, weight, pinned: bool):
     inner = slice(1, -1) if pinned else slice(None)
 
     def inverse_1d(half_h, coef_1d):
-        M = _lattice_mass_1d(basis, half_h, coef_1d)[inner, inner]
+        M = lattice_matrix_1d(basis, coef_1d, half_h, basis.val1d)[inner, inner]
         # Explicit dense inverses: an n x n inverse holds about as many
         # entries as a u vector on a square domain, and two GEMMs beat banded
         # Cholesky solves (LAPACK pbtrs, one column at a time) up to lattices

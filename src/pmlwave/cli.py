@@ -106,11 +106,11 @@ def _cmd_longtime(args) -> int:
     write_csv(os.path.join(out, "amplitude.csv"), ["t", "max_abs_u"],
               zip(res.times, res.amplitudes))
     t_end = res.times[-1]
-    if t_end >= 150.0:
-        late = res.window_peak(100.0, 150.0)
-        mid = res.window_peak(50.0, 100.0)
-        print(f"longtime: peak[100,150]={format_float(late)} "
-              f"peak[50,100]={format_float(mid)} global={format_float(res.global_peak)}")
+    windows = cfg.LONGTIME_WINDOWS
+    if t_end >= windows[-1][1]:
+        peaks = " ".join(f"peak[{t0:g},{t1:g}]={format_float(res.window_peak(t0, t1))}"
+                         for t0, t1 in reversed(windows))
+        print(f"longtime: {peaks} global={format_float(res.global_peak)}")
     else:
         print(f"longtime: t_end={t_end:g} global peak={format_float(res.global_peak)}")
     return 0

@@ -56,11 +56,14 @@ class SimulationConfig:
 
     # ---- derived quantities ----
 
+    # Long-time amplitude windows; the last ends at that run's default t_end. Not a field.
+    LONGTIME_WINDOWS = ((50.0, 100.0), (100.0, 150.0))
+
     def effective_t_end(self) -> float:
         if self.t_end is not None:
             return self.t_end
         if self.experiment == "longtime":
-            return 150.0
+            return self.LONGTIME_WINDOWS[-1][1]
         return 14.0 if self.material == "layered" else 10.0
 
     def study_grid(self) -> tuple[tuple, tuple]:

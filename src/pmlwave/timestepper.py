@@ -16,15 +16,17 @@ block. rhs writes into a caller's buffer; rk4_step keeps the current stage
 and the running weighted sum of the stages in two buffers allocated once per
 stepper and builds each stage argument in the array it returns, so a step
 allocates little beyond the product, the CG vectors and the new state.
-trajectory owns the one time loop and yields the state after each fixed
-step, so a consumer keeps only what it needs: run records energy,
-amplitudes and snapshots, and the layer-error experiment steps two
-trajectories in lock-step, comparing them at every step.
+trajectory yields the state after each fixed step, so a consumer keeps
+only what it needs: run records energy, amplitudes and snapshots, and the
+layer-error experiment compares the damped run at every step with a
+reference that, if it separates, modal_trajectory steps mode by mode
+through the same RK4 step and loop, after checking dt against RK4's limit.
 """
 
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.linalg as la
@@ -35,9 +37,12 @@ from .assembly import (
     Operators,
     assemble_forcing_spatial,
     constrain_operators,
+    lattice_matrix_1d,
     tensor_mass_inverse,
 )
 from .errors import ConfigError, NumericalError
+from .mesh import DofMap, MaterialField, MeshQ, physical_quad_points
+from .quadrature import BasisQp
 from .solvers import pcg
 
 
@@ -204,32 +209,39 @@ class WaveStepper:
 
         Dirichlet entries of the result are re-zeroed; y is left unchanged.
         """
-        if dt <= 0:
-            raise ValueError(f"time step must be positive, got {dt}")
-        # k holds the stage just computed and acc the running k1 + 2 k2 + 2 k3 + k4,
-        # summed in that order; the returned array serves as the stage argument.
-        k, acc = self._stages
-        new = np.empty_like(y)
-        half = 0.5 * dt
-        self.rhs(y, t, out=acc)
-        np.multiply(acc, half, out=new)
-        new += y
-        self.rhs(new, t + half, out=k)
-        np.multiply(k, half, out=new)
-        new += y
-        k *= 2.0
-        acc += k
-        self.rhs(new, t + half, out=k)
-        np.multiply(k, dt, out=new)
-        new += y
-        k *= 2.0
-        acc += k
-        self.rhs(new, t + dt, out=k)
-        acc += k
-        acc *= dt / 6.0
-        np.add(y, acc, out=new)
+        new = _rk4_step(self.rhs, y, t, dt, self._stages)
         new[self.pinned] = 0.0
         return new
+
+
+def _rk4_step(rhs, y: np.ndarray, t: float, dt: float, stages: np.ndarray) -> np.ndarray:
+    """One classical RK4 step of y' = rhs(y, t, out) from (y, t), into a new array."""
+    if dt <= 0:
+        raise ValueError(f"time step must be positive, got {dt}")
+    # The (2, y.size) buffer stages holds in k the stage just computed and in acc
+    # the running k1 + 2 k2 + 2 k3 + k4, summed in that order; the returned array
+    # serves as the stage argument.
+    k, acc = stages
+    new = np.empty_like(y)
+    half = 0.5 * dt
+    rhs(y, t, out=acc)
+    np.multiply(acc, half, out=new)
+    new += y
+    rhs(new, t + half, out=k)
+    np.multiply(k, half, out=new)
+    new += y
+    k *= 2.0
+    acc += k
+    rhs(new, t + half, out=k)
+    np.multiply(k, dt, out=new)
+    new += y
+    k *= 2.0
+    acc += k
+    rhs(new, t + dt, out=k)
+    acc += k
+    acc *= dt / 6.0
+    np.add(y, acc, out=new)
+    return new
 
 
 def snapshot_steps(snapshot_times, dt: float) -> dict:
@@ -266,6 +278,16 @@ def step_count(dt: float, t_end: float) -> int:
     return math.ceil(t_end / dt - 1e-9)
 
 
+def _steps(step, y: np.ndarray, n: int, dt: float, n_steps: int):
+    """Yield y and each y = step(y, t, dt) after it; NumericalError once y[:n] is not finite."""
+    for k in range(n_steps + 1):
+        if k:
+            y = step(y, (k - 1) * dt, dt)
+        if not np.all(np.isfinite(y[:n])):
+            raise NumericalError(f"solution became non-finite at t={k * dt:.4f}")
+        yield y
+
+
 def trajectory(ops: Operators, forcing: GaussianPulse | None, dt: float, t_end: float,
                initial: tuple | None = None, forcing_cutoff: float | None = None):
     """Yield the state y after each RK4 step k = 0..step_count(dt, t_end).
@@ -282,12 +304,73 @@ def trajectory(ops: Operators, forcing: GaussianPulse | None, dt: float, t_end: 
     if initial is not None:
         y[:n], y[n:2 * n] = initial
     y[stepper.pinned] = 0.0
-    for k in range(n_steps + 1):
-        if k:
-            y = stepper.rk4_step(y, (k - 1) * dt, dt)
-        if not np.all(np.isfinite(y[:n])):
-            raise NumericalError(f"solution became non-finite at t={k * dt:.4f}")
-        yield y
+    yield from _steps(stepper.rk4_step, y, n, dt, n_steps)
+
+
+def separates(mesh: MeshQ, basis: BasisQp, material: MaterialField, r: float) -> bool:
+    """Whether an undamped run on mesh is diagonal in the 1D lattice eigenbases: kappa and
+    rho constant at the quadrature points, and r = -1 or 1 (else R_v couples the modes)."""
+    if r not in (-1.0, 1.0):
+        return False
+    points = physical_quad_points(mesh, basis)
+    return all(np.ptp(coef(*points)) == 0.0 for coef in (material.kappa, material.rho))
+
+
+def modal_trajectory(mesh: MeshQ, basis: BasisQp, dof_u: DofMap, material: MaterialField,
+                     r: float, forcing: GaussianPulse, dt: float, t_end: float,
+                     nodes: np.ndarray):
+    """Yield u at nodes after each RK4 step k = 0..step_count(dt, t_end) of an undamped run.
+
+    For a run that separates, u = (V_y (x) V_x) w with the eigenvectors of the 1D
+    pairs (K_x, M_x) and (K_y, M_y), on the interior lattice for r = -1, gives
+    oscillators w_ij'' = -c^2 (lam_x,i + lam_y,j) w_ij + e(t) kappa (V_y^T F V_x)_ij.
+    RK4 commutes with that fixed change of basis, so this matches trajectory up
+    to roundoff. nodes form a lattice rectangle in nodes_in_box order.
+    NumericalError before the first step if dt is past RK4's stability limit.
+    """
+    n_steps = step_count(dt, t_end)
+    if not separates(mesh, basis, material, r):
+        raise ValueError("modal_trajectory needs constant kappa and rho and r = -1 or 1")
+    xq, yq = (float(v[0, 0]) for v in physical_quad_points(mesh, basis))
+    kappa, rho = float(material.kappa(xq, yq)), float(material.rho(xq, yq))
+    inner = slice(1, -1) if r == -1.0 else slice(None)
+
+    def eigenbasis(n_el, h):
+        M, K = (lattice_matrix_1d(basis, np.ones((n_el, basis.quad.n)), scale, table)
+                for scale, table in ((h / 2.0, basis.val1d), (2.0 / h, basis.der1d)))
+        lam, V = la.eigh(K[inner, inner], M[inner, inner])
+        full = np.zeros((M.shape[0], lam.size))  # zero rows at the Dirichlet nodes
+        full[inner] = V
+        return lam, full
+
+    lam_x, V_x = eigenbasis(mesh.nx, mesh.hx)
+    lam_y, V_y = eigenbasis(mesh.ny, mesh.hy)
+    n_x = V_x.shape[0]
+    rows, cols = np.unique(nodes // n_x), np.unique(nodes % n_x)
+    if not np.array_equal(nodes, (rows[:, None] * n_x + cols).ravel()):
+        raise ValueError("observed nodes do not form a rectangle of the node lattice")
+    obs_y, obs_x = V_y[rows], V_x[cols].T
+
+    F = assemble_forcing_spatial(mesh, basis, material, dof_u, forcing.spatial)
+    f_hat = (kappa * (V_y.T @ F.reshape(V_y.shape[0], n_x) @ V_x)).ravel()
+    neg_omega2 = (-(kappa / rho) * (lam_y[:, None] + lam_x)).ravel()
+    m = neg_omega2.size
+    omega_max = math.sqrt(float(np.max(-neg_omega2, initial=0.0)))
+    if dt * omega_max > 2.0 * math.sqrt(2.0):  # RK4 bounds undamped modes up to 2 sqrt(2)
+        raise NumericalError(f"solution would become non-finite: dt={dt:g} exceeds the RK4 "
+                             f"stability limit {2.0 * math.sqrt(2.0) / omega_max:.4g}")
+
+    def rhs(y, t, out):
+        # The state is [w, w'] with w the modal displacement, raveled (y, x).
+        out[:m] = y[m:]
+        np.multiply(neg_omega2, y[:m], out=out[m:])
+        env = float(forcing.envelope(t))
+        if env != 0.0:
+            out[m:] += env * f_hat
+
+    step = partial(_rk4_step, rhs, stages=np.empty((2, 2 * m)))
+    for y in _steps(step, np.zeros(2 * m), m, dt, n_steps):
+        yield (obs_y @ y[:m].reshape(lam_y.size, lam_x.size) @ obs_x).ravel()
 
 
 def run(

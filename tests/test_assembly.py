@@ -6,10 +6,9 @@ from numpy.polynomial import legendre as npleg
 
 import scipy.sparse as sp
 
-from pmlwave.assembly import (GaussianPulse, _lattice_mass_1d, assemble_all,
-                              assemble_forcing_spatial, assemble_load,
-                              assemble_stiffness, assemble_weighted_mass,
-                              eliminate_dirichlet)
+from pmlwave.assembly import (GaussianPulse, assemble_all, assemble_forcing_spatial,
+                              assemble_load, assemble_stiffness, assemble_weighted_mass,
+                              eliminate_dirichlet, lattice_matrix_1d)
 from pmlwave.errors import NumericalError
 from pmlwave.laplace import projection_pi_p
 from pmlwave.mesh import (MaterialField, build_cartesian_mesh, dof_map,
@@ -362,14 +361,18 @@ def test_element_kernel_matches_four_operand_einsum(p):
     assert relative_error(ops.R_v, R_v) <= 1e-14
     assert relative_error(ops.R_theta, R_theta) <= 1e-14
 
-    # 1D lattice masses behind tensor_mass_inverse, graded weight
+    # 1D lattice mass and stiffness, graded weight
     coef_1d = 1.0 + np.linspace(0.0, 1.0, mesh.ny * basis.quad.n).reshape(mesh.ny, -1)
     cells = np.arange(mesh.ny)[:, None] * p + np.arange(p + 1)
-    blocks = einsum_blocks(basis.quad.weights, coef_1d, basis.val1d, basis.val1d,
-                           mesh.hy / 2.0)
     n = mesh.ny * p + 1
-    M1 = reference_scatter(cells, cells, blocks, (n, n))
-    assert relative_error(_lattice_mass_1d(basis, mesh.hy / 2.0, coef_1d), M1) <= 1e-14
+    M1, K1 = (reference_scatter(cells, cells, einsum_blocks(basis.quad.weights, coef_1d,
+                                                            table, table, scale), (n, n))
+              for table, scale in ((basis.val1d, mesh.hy / 2.0), (basis.der1d, 2.0 / mesh.hy)))
+    M1_got, K1_got = (lattice_matrix_1d(basis, coef_1d, scale, table)
+                      for table, scale in ((basis.val1d, mesh.hy / 2.0),
+                                           (basis.der1d, 2.0 / mesh.hy)))
+    assert relative_error(M1_got, M1) <= 1e-14
+    assert relative_error(K1_got, K1) <= 1e-14
 
     # projection_pi_p solves the system the einsum formula assembles
     s = 1.0 + 2.0j
@@ -401,3 +404,26 @@ def test_live_layer_matches_reference_assembly(case):
     assert 0 < live.size < ops.n_phi
     assert np.array_equal(live, live_ref)
     assert WaveStepper(ops).n_state == WaveStepper(ref).n_state
+
+
+@pytest.mark.parametrize("r", [-1.0, 1.0], ids=["interior", "full"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_lattice_matrices_are_the_kronecker_factors_of_m_u_and_k(p, r):
+    # M_u = (1/kappa) M_y (x) M_x and K = (1/rho) (M_y (x) K_x + K_y (x) M_x) in
+    # the (y, x) node order; for r = -1 on the lattice without its boundary nodes.
+    mesh = build_cartesian_mesh((-1.0, 2.0, 0.0, 1.5), 0.5)
+    basis = tensor_basis_tables(p)
+    c, rho = 1.5, 2.0
+    ops = assemble_all(mesh, basis, homogeneous_material(c=c, rho=rho), None, r=r)
+    inner = slice(1, -1) if r == -1.0 else slice(None)
+    (M_x, K_x), (M_y, K_y) = (
+        [lattice_matrix_1d(basis, np.ones((n_el, p + 1)), scale, table)[inner, inner]
+         for table, scale in ((basis.val1d, h / 2.0), (basis.der1d, 2.0 / h))]
+        for n_el, h in ((mesh.nx, mesh.hx), (mesh.ny, mesh.hy)))
+    keep = np.arange(ops.n_u)
+    if r == -1.0:
+        keep = np.setdiff1d(keep, ops.dof_u.boundary)
+    assert M_x.shape[0] * M_y.shape[0] == keep.size
+    assert relative_error(sp.kron(M_y, M_x) / (c * c * rho), ops.M_u[keep][:, keep]) <= 1e-14
+    assert relative_error((sp.kron(M_y, K_x) + sp.kron(K_y, M_x)) / rho,
+                          ops.K[keep][:, keep]) <= 1e-14

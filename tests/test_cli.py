@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from pmlwave.cli import main
+from pmlwave.config import SimulationConfig
+from pmlwave.output import format_float
 
 MICRO = {
     "domain": [-1.2, 1.2, -1.2, 1.2],
@@ -93,6 +95,19 @@ def test_longtime_outputs(micro_config, tmp_path, capsys):
     assert "global peak=" in capsys.readouterr().out
 
 
+def test_longtime_window_line_reads_the_config_windows(micro_config, tmp_path, capsys,
+                                                       monkeypatch):
+    # Windows that fit the micro run's t_end = 0.1 bring out the paper-window line.
+    monkeypatch.setattr(SimulationConfig, "LONGTIME_WINDOWS", ((0.0, 0.05), (0.05, 0.1)))
+    out = tmp_path / "out"
+    assert main(["longtime", "--config", micro_config, "--out", str(out)]) == 0
+    amps = np.array([float(row[1]) for row in read_csv(out / "amplitude.csv")[1:]])
+    late, early = (format_float(float(np.max(amps[window]))) for window in
+                   (slice(5, 11), slice(0, 6)))
+    assert capsys.readouterr().out == (f"longtime: peak[0.05,0.1]={late} peak[0,0.05]={early} "
+                                       f"global={format_float(float(np.max(amps)))}\n")
+
+
 def test_convergence_outputs(tmp_path, capsys):
     data = dict(MICRO)
     data.update({"t_end": 0.2, "h_values": [0.6, 0.3], "p_values": [1]})
@@ -168,6 +183,22 @@ def test_unstable_run_exits_three(tmp_path, capsys):
         rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_unstable_pml_error_exits_three(tmp_path, capsys):
+    # dt = 0.5 is far past stability. At t_end = 100 neither run overflows, so
+    # only the reference's stability check can stop it.
+    data = dict(MICRO)
+    data.update({"dt": 0.5, "t_end": 100.0})
+    path = tmp_path / "fast.json"
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        rc = main(["pml-error", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: solution would become non-finite" in err
+    assert "stability limit" in err
 
 
 def test_module_entry_point():

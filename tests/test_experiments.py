@@ -1,6 +1,11 @@
+import json
+from importlib import resources
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pmlwave.experiments as experiments
 from pmlwave.config import config_from_dict
 from pmlwave.errors import ConfigError
 from pmlwave.experiments import (LAPLACE_COLUMNS, LongtimeResult, _matched_inner_nodes,
@@ -12,6 +17,7 @@ from pmlwave.mesh import build_cartesian_mesh, dof_map, physical_quad_points
 from pmlwave.quadrature import tensor_basis_tables
 from pmlwave.timestepper import WaveStepper
 
+REPO = Path(__file__).resolve().parents[1]
 MICRO = {
     "domain": [-1.2, 1.2, -1.2, 1.2],
     "reference_domain": [-2.4, 2.4, -2.4, 2.4],
@@ -55,7 +61,7 @@ def test_matched_inner_nodes_agree():
     cfg = micro_cfg()
     a = build_problem(cfg, damped=True)
     b = build_problem(cfg, domain=cfg.reference_domain, damped=False)
-    idx_a, idx_b = _matched_inner_nodes(a, b, cfg.inner_box())
+    idx_a, idx_b = _matched_inner_nodes(a.ops.dof_u, b.ops.dof_u, cfg.inner_box())
     assert idx_a.size == idx_b.size == 9  # 3x3 shared lattice
     np.testing.assert_allclose(a.ops.dof_u.node_coords[idx_a],
                                b.ops.dof_u.node_coords[idx_b], atol=1e-12)
@@ -67,7 +73,7 @@ def test_matched_inner_nodes_mismatch_raises():
     a = build_problem(cfg_a, damped=True)
     b = build_problem(cfg_b, damped=False)
     with pytest.raises(RuntimeError, match="disagree"):
-        _matched_inner_nodes(a, b, cfg_a.inner_box())
+        _matched_inner_nodes(a.ops.dof_u, b.ops.dof_u, cfg_a.inner_box())
 
 
 def test_pml_error_series_shape():
@@ -79,7 +85,8 @@ def test_pml_error_series_shape():
     assert series.max_error == np.max(series.errors)
 
 
-def test_pml_error_steps_both_runs_in_lock_step(monkeypatch):
+def counting_rk4_steps(monkeypatch) -> list:
+    """The stepper of every WaveStepper.rk4_step call, in call order."""
     calls = []
     rk4_step = WaveStepper.rk4_step
 
@@ -88,10 +95,34 @@ def test_pml_error_steps_both_runs_in_lock_step(monkeypatch):
         return rk4_step(self, *args, **kwargs)
 
     monkeypatch.setattr(WaveStepper, "rk4_step", counting_step)
-    run_pml_error_experiment(micro_cfg())
+    return calls
+
+
+def test_pml_error_steps_both_runs_in_lock_step(monkeypatch):
+    # r = 0.5 couples the reference's modes, so it steps its assembled system.
+    calls = counting_rk4_steps(monkeypatch)
+    run_pml_error_experiment(micro_cfg(r=0.5))
     damped, reference = calls[0], calls[1]
     assert damped.ops.has_damping and not reference.ops.has_damping
     assert calls == [damped, reference] * 10
+
+
+@pytest.mark.parametrize("r", [-1.0, 1.0])
+def test_pml_error_steps_a_separable_reference_without_assembling_it(monkeypatch, r):
+    calls = counting_rk4_steps(monkeypatch)
+    assembled = []
+    assemble_all = experiments.assemble_all
+
+    def recording_assemble_all(mesh, *args, **kwargs):
+        assembled.append(mesh.domain)
+        return assemble_all(mesh, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "assemble_all", recording_assemble_all)
+    cfg = micro_cfg(r=r)
+    run_pml_error_experiment(cfg)
+    assert len(calls) == 10
+    assert all(stepper is calls[0] for stepper in calls) and calls[0].ops.has_damping
+    assert assembled == [cfg.domain]
 
 
 @pytest.mark.parametrize("r", [-1.0, 0.5])
@@ -99,7 +130,7 @@ def test_pml_error_series_matches_separate_runs(r):
     cfg = micro_cfg(r=r)
     pml = build_problem(cfg, domain=cfg.domain, damped=True)
     ref = build_problem(cfg, domain=cfg.reference_domain, damped=False)
-    idx_pml, idx_ref = _matched_inner_nodes(pml, ref, cfg.inner_box())
+    idx_pml, idx_ref = _matched_inner_nodes(pml.ops.dof_u, ref.ops.dof_u, cfg.inner_box())
     box_values = []
     for prob, idx in ((pml, idx_pml), (ref, idx_ref)):
         stepper = WaveStepper(prob.ops, cfg.gaussian_pulse())
@@ -111,9 +142,25 @@ def test_pml_error_series_matches_separate_runs(r):
         box_values.append(np.array(values))
     expect = np.max(np.abs(box_values[0] - box_values[1]), axis=1)
     series = run_pml_error_experiment(cfg)
-    assert np.array_equal(series.errors, expect)
+    if r == -1.0:
+        # The separable reference is stepped in its eigenbasis: equal up to roundoff.
+        assert np.max(np.abs(series.errors - expect)) <= 1e-12 * np.max(expect)
+    else:
+        assert np.array_equal(series.errors, expect)
     assert np.array_equal(series.times, np.arange(11) * cfg.dt)
     assert series.final_error > 0.0
+
+
+def test_small_profile_reproduces_the_benchmark_outputs():
+    # The headline numbers of pml-error --profile small, as the benchmark records them.
+    with open(REPO / "perfbench" / "expected.json", encoding="utf-8") as fh:
+        expected = json.load(fh)
+    want = expected["workloads"]["pml_error_small"]
+    data = json.loads(resources.files("pmlwave").joinpath("profiles/small.json")
+                      .read_text(encoding="utf-8"))
+    series = run_pml_error_experiment(config_from_dict(data, experiment="pml-error"))
+    assert series.final_error == pytest.approx(want["final_error"], rel=expected["rtol"], abs=0)
+    assert series.max_error == pytest.approx(want["max_error"], rel=expected["rtol"], abs=0)
 
 
 def test_zero_forcing_gives_zero_error():

@@ -3,15 +3,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 import pmlwave.timestepper as timestepper
 from pmlwave.assembly import (GaussianPulse, assemble_all, assemble_forcing_spatial,
                               constrain_operators)
 from pmlwave.errors import ConfigError, NumericalError
-from pmlwave.mesh import build_cartesian_mesh, homogeneous_material, physical_quad_points
+from pmlwave.mesh import (build_cartesian_mesh, homogeneous_material, layered_material,
+                          nodes_in_box, physical_quad_points)
 from pmlwave.pml import PmlConfig, damping
 from pmlwave.quadrature import tensor_basis_tables
-from pmlwave.timestepper import StateView, WaveStepper, energy, energy_matrices, run
+from pmlwave.timestepper import (StateView, WaveStepper, energy, energy_matrices,
+                                 modal_trajectory, run, separates, trajectory)
 
 PML = PmlConfig(delta=0.5, x_inner=0.5, y_inner=0.5, d0_x=3.0, d0_y=2.0)
 PULSE = GaussianPulse(center=(0.4, 0.4), sigma=0.15, t0=0.3, tau=0.1)
@@ -334,6 +337,60 @@ def test_unstable_step_raises():
         with pytest.raises(NumericalError):
             with np.errstate(over="ignore", invalid="ignore"):
                 run(ops, None, 5.0, 500.0, initial=initial)
+
+
+def modal_case(p, r):
+    """A homogeneous c = 1.5, rho = 2 problem on a non-square mesh, and an off-center box."""
+    mesh = build_cartesian_mesh((0.0, 1.0, 0.0, 1.5), 0.25)
+    basis = tensor_basis_tables(p)
+    material = homogeneous_material(c=1.5, rho=2.0)
+    ops = assemble_all(mesh, basis, material, None, r=r)
+    nodes = nodes_in_box(ops.dof_u, (0.25, 0.75, 0.25, 1.0))
+    return ops, (mesh, basis, ops.dof_u, material, r), nodes
+
+
+@pytest.mark.parametrize("r", [-1.0, 1.0], ids=["dirichlet", "neumann"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_modal_trajectory_matches_trajectory(p, r):
+    ops, problem, nodes = modal_case(p, r)
+    dt, t_end = 0.005, 0.4
+    nodal = np.array([y[nodes] for y in trajectory(ops, PULSE, dt, t_end)])
+    modal = np.array(list(modal_trajectory(*problem, PULSE, dt, t_end, nodes)))
+    assert modal.shape == nodal.shape == (81, nodes.size)
+    assert np.max(np.abs(nodal)) > 0.0
+    assert np.max(np.abs(modal - nodal)) <= 1e-12 * np.max(np.abs(nodal))
+
+
+@pytest.mark.parametrize("r", [-1.0, 1.0], ids=["dirichlet", "neumann"])
+def test_modal_trajectory_refuses_a_dt_past_the_stability_limit(r):
+    # RK4's limit |dt omega| <= 2 sqrt(2), with omega_max from the assembled operators.
+    ops, problem, nodes = modal_case(2, r)
+    keep = np.setdiff1d(np.arange(ops.n_u), ops.dof_u.boundary) if r == -1.0 else slice(None)
+    omega2 = la.eigh(ops.K[keep][:, keep].toarray(), ops.M_u[keep][:, keep].toarray(),
+                     eigvals_only=True)
+    dt_max = 2.0 * np.sqrt(2.0) / np.sqrt(np.max(np.abs(omega2)))
+    next(modal_trajectory(*problem, PULSE, 0.999 * dt_max, 1.0, nodes))
+    with pytest.raises(NumericalError, match="would become non-finite.*stability limit"):
+        next(modal_trajectory(*problem, PULSE, 1.001 * dt_max, 1.0, nodes))
+
+
+@pytest.mark.parametrize("material, r", [(homogeneous_material(), 0.5),
+                                         (layered_material((1.0, 0.75), (0.75,)), -1.0)],
+                         ids=["impedance", "layered"])
+def test_modal_trajectory_refuses_a_run_that_does_not_separate(material, r):
+    mesh = build_cartesian_mesh((0.0, 1.0, 0.0, 1.5), 0.25)
+    basis = tensor_basis_tables(1)
+    assert not separates(mesh, basis, material, r)
+    dof_u = assemble_all(mesh, basis, material, None, r=r).dof_u
+    with pytest.raises(ValueError, match="constant kappa and rho"):
+        next(modal_trajectory(mesh, basis, dof_u, material, r, PULSE, 0.01, 0.1,
+                              np.arange(4)))
+
+
+def test_modal_trajectory_refuses_nodes_off_a_lattice_rectangle():
+    _, problem, nodes = modal_case(1, 1.0)
+    with pytest.raises(ValueError, match="rectangle"):
+        next(modal_trajectory(*problem, PULSE, 0.01, 0.1, nodes[1:]))
 
 
 def test_recorders_shapes():
