@@ -348,6 +348,20 @@ def lattice_matrix_1d(basis: BasisQp, coef_1d, scale: float, table) -> np.ndarra
     return _scatter(cells, cells, blocks, (n, n)).toarray()
 
 
+def lattice_eigenbasis(basis: BasisQp, n_el: int, h: float, inner: slice):
+    """Unit-weight 1D mass M and stiffness K of the n_el*p+1 lattice, and their eigenbasis.
+
+    Returns (M, K, lam, V) with K[inner, inner] V = M[inner, inner] V diag(lam) and
+    V^T M[inner, inner] V = I; V has a zero row at each node that inner drops.
+    """
+    M, K = (lattice_matrix_1d(basis, np.ones((n_el, basis.quad.n)), scale, table)
+            for scale, table in ((h / 2.0, basis.val1d), (2.0 / h, basis.der1d)))
+    lam, V = la.eigh(K[inner, inner], M[inner, inner])
+    full = np.zeros((M.shape[0], lam.size))
+    full[inner] = V
+    return M, K, lam, full
+
+
 def tensor_mass_inverse(mesh: MeshQ, basis: BasisQp, weight, pinned: bool):
     """The inverse of the continuous weighted mass as a tensor product of 1D inverses.
 

@@ -179,11 +179,12 @@ def run_laplace_battery(seed: int = 7) -> list[dict]:
     """Frequency-domain verification battery; one row per check.
 
     Covers the solution-energy bound a*E_u^2 <= 2*E_u*E_f on randomized
-    frequencies and damping strengths, manufactured-solution convergence at
+    frequencies and damping strengths and, in closed form, for all interior data
+    at fixed ones, manufactured-solution convergence at
     the expected order p+1, recovery of coefficients from values at the
     quadrature points, and the weighted projection's defining residual.
     """
-    from .laplace import (assemble_reduced, energy_inequality_check,
+    from .laplace import (assemble_reduced, energy_inequality_check, interior_energy_bound,
                           manufactured_convergence, projection_pi_p,
                           quadrature_point_interpolant)
 
@@ -254,6 +255,20 @@ def run_laplace_battery(seed: int = 7) -> list[dict]:
         err_c = float(np.max(np.abs(gp_c - expect)))
         add_row(check="projection-constant", p=p, h=1.0 / 3.0, s_re=s_proj.real,
                 s_im=s_proj.imag, d_x=d_const, d_y=d_const, value=err_c, passed=err_c <= 1e-11)
+
+    # Energy bound for every interior datum at once: sup Re(s)*E_u/E_f <= 2, at
+    # fixed points (no draw, so the rows above keep their values). Undamped real
+    # s = 10 gave the largest sup (0.914) of a sweep at Q3, h = 1/48, over
+    # Re s in [1e-3, 10], Im s in [-60, 60] and d in {0, 0.5, 5, 50};
+    # 0.01 + 4.44i sits next to the lowest mode.
+    for p, s, d_x, d_y in ((1, 10.0, 0.0, 0.0), (3, 10.0, 0.0, 0.0), (2, 0.01 + 4.44j, 0.0, 0.0),
+                           (2, 0.5 + 5.0j, 1.0, 5.0), (2, 2.0 - 3.0j, 5.0, 0.0),
+                           (1, 5.0 + 5.0j, 5.0, 5.0), (3, 0.01 + 20.0j, 50.0, 50.0)):
+        s = complex(s)
+        system = assemble_reduced(mesh6, tensor_basis_tables(p), material, s, d_x, d_y)
+        sup = interior_energy_bound(system)
+        add_row(check="energy-bound-interior", p=p, h=1.0 / 6.0, s_re=s.real, s_im=s.imag,
+                d_x=d_x, d_y=d_y, rhs=2.0, value=sup, passed=sup <= 2.0)
     return rows
 
 

@@ -10,45 +10,64 @@ This bench solves that system directly and checks the two provable facts at
 desk scale: the energy inequality a*E_u^2 <= 2*E_u*E_f (constant damping)
 and the L2 convergence order p+1 against a manufactured solution. The
 discrete energies use the same (p+1)-point quadrature as assembly; only the
-error measurement over-integrates. The system is factored in a
-minimum-degree ordering of A + A^T, and every solve checks its normwise
-backward error.
+error measurement over-integrates.
+
+The material is constant as well, so on the uniform grid every term is a
+Kronecker product of the unit-weight 1D lattice mass and stiffness, in the
+(y, x) node order: M_u = M_y (x) M_x / kappa, K_x = M_y (x) K_x1 / rho and
+K_y = K_y1 (x) M_x / rho. The 1D generalized eigenbases V_x, V_y of the
+interior lattices diagonalize all three at once, so A(s) is diagonal in
+V_y (x) V_x for every s (fast diagonalization), and a solve is four GEMMs and
+one division. Every solve checks its normwise backward error against the
+assembled A. The same eigenvalues give the sup of the energy ratio over all
+interior data in closed form (interior_energy_bound).
 
 Variable damping is rejected here on purpose: its growth-rate bound is not
 available in computable form, so the bench would be asserting a constant it
-cannot know.
+cannot know. Variable material is rejected because it does not separate.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .assembly import (_coef_at_quad, assemble_load, assemble_stiffness,
-                       assemble_weighted_mass, element_blocks, eliminate_dirichlet,
-                       reference_mass)
+from .assembly import (_coef_at_quad, assemble_load, element_blocks, eliminate_dirichlet,
+                       lattice_eigenbasis, reference_mass)
 from .errors import ConfigError, NumericalError
-from .mesh import DofMap, MaterialField, MeshQ, build_cartesian_mesh, dof_map, homogeneous_material
+from .mesh import (DofMap, MaterialField, MeshQ, build_cartesian_mesh, constant_material,
+                   dof_map, homogeneous_material)
 from .pml import stretch
 from .quadrature import BasisQp, gauss_legendre_rule, lagrange_values_at, tensor_basis_tables
 
 
 @dataclass(frozen=True)
 class ComplexSystem:
-    """Reduced constant-damping system at one complex frequency."""
+    """Reduced constant-damping system at one complex frequency, and its eigenbasis.
+
+    V_x and V_y hold the M-orthonormal eigenvectors of the unit-weight 1D pairs
+    (K_x1, M_x) and (K_y1, M_y) on the interior lattices, with zero rows at the
+    boundary nodes; lam_x and lam_y hold their eigenvalues. divisor holds A's
+    eigenvalues a_ij = s^2 Sx Sy / kappa + ((Sy/Sx) lam_x[j] + (Sx/Sy) lam_y[i]) / rho.
+    """
 
     s: complex
     d_x: float
     d_y: float
     mesh: MeshQ
     basis: BasisQp
-    material: MaterialField
+    kappa: float              # the material, constant at every quadrature point
+    rho: float
     dof_u: DofMap
-    A: sp.csc_matrix          # Dirichlet-eliminated
+    A: sp.csr_matrix          # Dirichlet-eliminated
     M_u: sp.csr_matrix        # raw 1/kappa mass, used by the discrete norms
     K_x: sp.csr_matrix
     K_y: sp.csr_matrix
+    V_x: np.ndarray
+    V_y: np.ndarray
+    lam_x: np.ndarray
+    lam_y: np.ndarray
+    divisor: np.ndarray       # shape (lam_y.size, lam_x.size)
 
     @property
     def S_x(self) -> complex:
@@ -67,7 +86,7 @@ def assemble_reduced(
     d_x: float,
     d_y: float,
 ) -> ComplexSystem:
-    """Assemble A(s) for constant damping (d_x, d_y), Dirichlet eliminated.
+    """Assemble A(s) for constant damping (d_x, d_y) and constant material, Dirichlet eliminated.
 
     With d = 0 this is exactly s^2*M_u + K.
     """
@@ -83,23 +102,40 @@ def assemble_reduced(
     d_y = float(d_y)
     if d_x < 0 or d_y < 0:
         raise ValueError("damping must be nonnegative")
+    coefs = constant_material(mesh, basis, material)
+    if coefs is None:
+        raise ConfigError(
+            "the reduced form supports constant material only; kappa or rho varies "
+            "between quadrature points, so A(s) is not diagonal in one 1D eigenbasis"
+        )
+    kappa, rho = coefs
 
     dof_u = dof_map(mesh, basis.p, "continuous", gll=basis.gll_nodes)
-    M_u = assemble_weighted_mass(mesh, basis, dof_u,
-                                 lambda x, y: 1.0 / material.kappa(x, y))
-    inv_rho = lambda x, y: 1.0 / material.rho(x, y)
-    K_x = assemble_stiffness(mesh, basis, dof_u, inv_rho, direction="x")
-    K_y = assemble_stiffness(mesh, basis, dof_u, inv_rho, direction="y")
+    inner = slice(1, -1)  # the Dirichlet nodes are eliminated
+    M_x, K_x1, lam_x, V_x = lattice_eigenbasis(basis, mesh.nx, mesh.hx, inner)
+    M_y, K_y1, lam_y, V_y = lattice_eigenbasis(basis, mesh.ny, mesh.hy, inner)
+    # Each axis's mass and stiffness get one sparsity pattern, so the three
+    # Kronecker products share theirs and A is a sum of their value arrays.
+    M_x, K_x1, M_y, K_y1 = (*_on_one_pattern(M_x, K_x1), *_on_one_pattern(M_y, K_y1))
+    M_u = sp.kron(M_y, M_x, format="csr") / kappa
+    K_x = sp.kron(M_y, K_x1, format="csr") / rho
+    K_y = sp.kron(K_y1, M_x, format="csr") / rho
 
     Sx = stretch(s, d_x)
     Sy = stretch(s, d_y)
-    A = (s * s * Sx * Sy) * M_u.astype(complex) \
-        + (Sy / Sx) * K_x.astype(complex) + (Sx / Sy) * K_y.astype(complex)
+    A = sp.csr_matrix(((s * s * Sx * Sy) * M_u.data + (Sy / Sx) * K_x.data
+                       + (Sx / Sy) * K_y.data, M_u.indices, M_u.indptr), shape=M_u.shape)
+    A = eliminate_dirichlet(A, dof_u.boundary, dof_u.n_dofs, diag=1.0)
+    divisor = s * s * Sx * Sy / kappa + ((Sy / Sx) * lam_x + (Sx / Sy) * lam_y[:, None]) / rho
+    return ComplexSystem(s=s, d_x=d_x, d_y=d_y, mesh=mesh, basis=basis, kappa=kappa, rho=rho,
+                         dof_u=dof_u, A=A, M_u=M_u, K_x=K_x, K_y=K_y,
+                         V_x=V_x, V_y=V_y, lam_x=lam_x, lam_y=lam_y, divisor=divisor)
 
-    A = eliminate_dirichlet(A, dof_u.boundary, dof_u.n_dofs, diag=1.0).tocsc()
-    return ComplexSystem(s=s, d_x=d_x, d_y=d_y, mesh=mesh, basis=basis,
-                         material=material, dof_u=dof_u, A=A,
-                         M_u=M_u, K_x=K_x, K_y=K_y)
+
+def _on_one_pattern(*dense):
+    """The dense matrices as CSR on the union of their nonzero patterns, zeros stored."""
+    rows, cols = np.nonzero(np.logical_or.reduce([m != 0 for m in dense]))
+    return [sp.csr_matrix((m[rows, cols], (rows, cols)), shape=m.shape) for m in dense]
 
 
 def solution_energy(system: ComplexSystem, u_hat: np.ndarray) -> float:
@@ -117,30 +153,43 @@ def data_energy(system: ComplexSystem, f_nodal: np.ndarray) -> float:
 
 
 def solve(system: ComplexSystem, b: np.ndarray) -> np.ndarray:
-    """Direct sparse solve of the eliminated system; b boundary entries zeroed.
+    """Solve the eliminated system by fast diagonalization; b boundary entries zeroed.
 
-    A(s) has the symmetric pattern of the Q_p lattice, so SuperLU factors it
-    in a minimum-degree ordering of A + A^T (with its default partial
-    pivoting), which fills far less than the column ordering meant for
-    unsymmetric patterns. Each solve checks its own result: the normwise
-    backward error ||b - A x||_inf / (||A||_inf ||x||_inf + ||b||_inf) must
-    not exceed 1e-12, or NumericalError is raised.
+    On the (y, x) node lattice the solution is U = V_y ((V_y^T B V_x) / a) V_x^T with
+    a = system.divisor: four GEMMs and one division, and zero on the boundary
+    because V_x and V_y have zero rows there. Each solve checks its own result:
+    the normwise backward error ||b - A x||_inf / (||A||_inf ||x||_inf + ||b||_inf)
+    against the assembled A must not exceed 1e-12, or NumericalError is raised.
     """
     rhs = np.asarray(b, dtype=complex).copy()
     rhs[system.dof_u.boundary] = 0.0
-    try:
-        lu = spla.splu(system.A, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:  # singular factorization
-        raise NumericalError(f"direct factorization failed: {exc}") from exc
-    u = lu.solve(rhs)
+    V_x, V_y = system.V_x, system.V_y
+    B = rhs.reshape(V_y.shape[0], V_x.shape[0])
+    u = (V_y @ ((V_y.T @ B @ V_x) / system.divisor) @ V_x.T).ravel()
     if not np.all(np.isfinite(u)):
         raise NumericalError("direct solve produced non-finite values")
     residual = np.max(np.abs(rhs - system.A @ u))
-    scale = spla.norm(system.A, np.inf) * np.max(np.abs(u)) + np.max(np.abs(rhs))
+    norm_A = np.max(abs(system.A).sum(axis=1))
+    scale = norm_A * np.max(np.abs(u)) + np.max(np.abs(rhs))
     if residual > 1e-12 * scale:  # a zero b passes with a zero residual
         raise NumericalError(f"direct solve has backward error "
                              f"{residual / scale:.3e} > 1e-12")
     return u
+
+
+def interior_energy_bound(system: ComplexSystem) -> float:
+    """sup of Re(s)*E_u/E_f over all data f that vanish on the boundary, in closed form.
+
+    With f = (V_y (x) V_x) c the solution of A u = M_u f is u = (V_y (x) V_x)(c / (kappa a)),
+    a = system.divisor, and both energies are diagonal sums: E_f^2 = sum |c|^2 / kappa and
+    E_u^2 = sum g |c|^2 / (kappa |a|)^2 with g = |s|^2/kappa + (lam_x/|Sx|^2
+    + lam_y/|Sy|^2)/rho. So the sup is max Re(s) sqrt(g/kappa) / |a| over the modes;
+    a*E_u^2 <= 2*E_u*E_f holds for every such f exactly when it is at most 2.
+    """
+    g = (abs(system.s) ** 2 / system.kappa
+         + (system.lam_x / abs(system.S_x) ** 2
+            + system.lam_y[:, None] / abs(system.S_y) ** 2) / system.rho)
+    return float(np.max(system.s.real * np.sqrt(g / system.kappa) / np.abs(system.divisor)))
 
 
 def energy_inequality_check(system: ComplexSystem, f_nodal: np.ndarray):

@@ -269,6 +269,16 @@ def physical_quad_points(mesh: MeshQ, basis: BasisQp):
     return X, Y
 
 
+def constant_material(mesh: MeshQ, basis: BasisQp, material: MaterialField):
+    """(kappa, rho) as floats when both are constant at the quadrature points of mesh, or None."""
+    points = physical_quad_points(mesh, basis)
+    kappa, rho = (np.asarray(coef(*points), dtype=float)
+                  for coef in (material.kappa, material.rho))
+    if np.ptp(kappa) != 0.0 or np.ptp(rho) != 0.0:
+        return None
+    return float(kappa.flat[0]), float(rho.flat[0])
+
+
 def nodes_in_box(dofmap: DofMap, box, tol: float = 1e-9) -> np.ndarray:
     """Indices of DOF nodes inside box = (x0, x1, y0, y1), inclusive.
 

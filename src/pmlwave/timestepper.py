@@ -37,11 +37,11 @@ from .assembly import (
     Operators,
     assemble_forcing_spatial,
     constrain_operators,
-    lattice_matrix_1d,
+    lattice_eigenbasis,
     tensor_mass_inverse,
 )
 from .errors import ConfigError, NumericalError
-from .mesh import DofMap, MaterialField, MeshQ, physical_quad_points
+from .mesh import DofMap, MaterialField, MeshQ, constant_material
 from .quadrature import BasisQp
 from .solvers import pcg
 
@@ -310,10 +310,7 @@ def trajectory(ops: Operators, forcing: GaussianPulse | None, dt: float, t_end: 
 def separates(mesh: MeshQ, basis: BasisQp, material: MaterialField, r: float) -> bool:
     """Whether an undamped run on mesh is diagonal in the 1D lattice eigenbases: kappa and
     rho constant at the quadrature points, and r = -1 or 1 (else R_v couples the modes)."""
-    if r not in (-1.0, 1.0):
-        return False
-    points = physical_quad_points(mesh, basis)
-    return all(np.ptp(coef(*points)) == 0.0 for coef in (material.kappa, material.rho))
+    return r in (-1.0, 1.0) and constant_material(mesh, basis, material) is not None
 
 
 def modal_trajectory(mesh: MeshQ, basis: BasisQp, dof_u: DofMap, material: MaterialField,
@@ -331,20 +328,10 @@ def modal_trajectory(mesh: MeshQ, basis: BasisQp, dof_u: DofMap, material: Mater
     n_steps = step_count(dt, t_end)
     if not separates(mesh, basis, material, r):
         raise ValueError("modal_trajectory needs constant kappa and rho and r = -1 or 1")
-    xq, yq = (float(v[0, 0]) for v in physical_quad_points(mesh, basis))
-    kappa, rho = float(material.kappa(xq, yq)), float(material.rho(xq, yq))
+    kappa, rho = constant_material(mesh, basis, material)
     inner = slice(1, -1) if r == -1.0 else slice(None)
-
-    def eigenbasis(n_el, h):
-        M, K = (lattice_matrix_1d(basis, np.ones((n_el, basis.quad.n)), scale, table)
-                for scale, table in ((h / 2.0, basis.val1d), (2.0 / h, basis.der1d)))
-        lam, V = la.eigh(K[inner, inner], M[inner, inner])
-        full = np.zeros((M.shape[0], lam.size))  # zero rows at the Dirichlet nodes
-        full[inner] = V
-        return lam, full
-
-    lam_x, V_x = eigenbasis(mesh.nx, mesh.hx)
-    lam_y, V_y = eigenbasis(mesh.ny, mesh.hy)
+    _, _, lam_x, V_x = lattice_eigenbasis(basis, mesh.nx, mesh.hx, inner)
+    _, _, lam_y, V_y = lattice_eigenbasis(basis, mesh.ny, mesh.hy, inner)
     n_x = V_x.shape[0]
     rows, cols = np.unique(nodes // n_x), np.unique(nodes % n_x)
     if not np.array_equal(nodes, (rows[:, None] * n_x + cols).ravel()):

@@ -406,24 +406,38 @@ def test_live_layer_matches_reference_assembly(case):
     assert WaveStepper(ops).n_state == WaveStepper(ref).n_state
 
 
+def y_layered_material():
+    """c 1.5 / 1 / 0.75 in bands split at y = 0.5 and 1, rho 2 below y = 1 and 0.5 above."""
+    base = layered_material(speeds=(1.5, 1.0, 0.75), interfaces=(0.5, 1.0), rho=2.0)
+    return replace(base, rho=lambda x, y: np.where(np.asarray(y) < 1.0, 2.0, 0.5)
+                   + 0.0 * np.asarray(x))
+
+
 @pytest.mark.parametrize("r", [-1.0, 1.0], ids=["interior", "full"])
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_lattice_matrices_are_the_kronecker_factors_of_m_u_and_k(p, r):
-    # M_u = (1/kappa) M_y (x) M_x and K = (1/rho) (M_y (x) K_x + K_y (x) M_x) in
-    # the (y, x) node order; for r = -1 on the lattice without its boundary nodes.
+    # M_u = M_y(1/kappa) (x) M_x and K = M_y(1/rho) (x) K_x + K_y(1/rho) (x) M_x in the
+    # (y, x) node order, for material varying only in y: unit-weight x factors, y
+    # factors weighted at the y quadrature points; for r = -1 on the lattice
+    # without its boundary nodes.
     mesh = build_cartesian_mesh((-1.0, 2.0, 0.0, 1.5), 0.5)
     basis = tensor_basis_tables(p)
-    c, rho = 1.5, 2.0
-    ops = assemble_all(mesh, basis, homogeneous_material(c=c, rho=rho), None, r=r)
     inner = slice(1, -1) if r == -1.0 else slice(None)
-    (M_x, K_x), (M_y, K_y) = (
-        [lattice_matrix_1d(basis, np.ones((n_el, p + 1)), scale, table)[inner, inner]
-         for table, scale in ((basis.val1d, h / 2.0), (basis.der1d, 2.0 / h))]
-        for n_el, h in ((mesh.nx, mesh.hx), (mesh.ny, mesh.hy)))
-    keep = np.arange(ops.n_u)
-    if r == -1.0:
-        keep = np.setdiff1d(keep, ops.dof_u.boundary)
-    assert M_x.shape[0] * M_y.shape[0] == keep.size
-    assert relative_error(sp.kron(M_y, M_x) / (c * c * rho), ops.M_u[keep][:, keep]) <= 1e-14
-    assert relative_error((sp.kron(M_y, K_x) + sp.kron(K_y, M_x)) / rho,
-                          ops.K[keep][:, keep]) <= 1e-14
+    y_q = mesh.elem_origin[::mesh.nx, 1:2] + (basis.quad.nodes + 1.0) * (mesh.hy / 2.0)
+
+    def factors(n_el, h, weight):
+        return [lattice_matrix_1d(basis, weight, scale, table)[inner, inner]
+                for table, scale in ((basis.val1d, h / 2.0), (basis.der1d, 2.0 / h))]
+
+    M_x, K_x = factors(mesh.nx, mesh.hx, np.ones((mesh.nx, p + 1)))
+    for material in (homogeneous_material(c=1.5, rho=2.0), y_layered_material()):
+        ops = assemble_all(mesh, basis, material, None, r=r)
+        M_y, _ = factors(mesh.ny, mesh.hy, 1.0 / material.kappa(0.0 * y_q, y_q))
+        M_y_rho, K_y = factors(mesh.ny, mesh.hy, 1.0 / material.rho(0.0 * y_q, y_q))
+        keep = np.arange(ops.n_u)
+        if r == -1.0:
+            keep = np.setdiff1d(keep, ops.dof_u.boundary)
+        assert M_x.shape[0] * M_y.shape[0] == keep.size
+        assert relative_error(sp.kron(M_y, M_x), ops.M_u[keep][:, keep]) <= 1e-14
+        assert relative_error(sp.kron(M_y_rho, K_x) + sp.kron(K_y, M_x),
+                              ops.K[keep][:, keep]) <= 1e-14

@@ -173,6 +173,20 @@ def test_laplace_verify_passes(tmp_path, capsys):
     assert "all" in capsys.readouterr().out
 
 
+def test_laplace_verify_exits_four_when_the_interior_bound_fails(tmp_path, capsys, monkeypatch):
+    import pmlwave.laplace
+
+    monkeypatch.setattr(pmlwave.laplace, "interior_energy_bound", lambda system: 2.5)
+    out = tmp_path / "out"
+    assert main(["laplace-verify", "--out", str(out)]) == 4
+    checks = [row[0] for row in read_csv(out / "laplace_report.csv")[1:]]
+    n = checks.count("energy-bound-interior")
+    assert n > 0 and checks[-n:] == ["energy-bound-interior"] * n  # after the other rows
+    captured = capsys.readouterr()
+    assert f"energy-bound-interior: 0/{n} passed" in captured.out
+    assert f"{n} of {len(checks)} checks FAILED" in captured.err
+
+
 def test_unstable_run_exits_three(tmp_path, capsys):
     data = dict(MICRO)
     data.update({"dt": 5.0, "t_end": 2000.0})

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
+import scipy.linalg as la
 
+from pmlwave.assembly import assemble_stiffness, assemble_weighted_mass
 from pmlwave.errors import ConfigError, NumericalError
 from pmlwave.laplace import (assemble_reduced, data_energy,
-                             energy_inequality_check, manufactured_convergence,
+                             energy_inequality_check, interior_energy_bound,
+                             manufactured_convergence,
                              projection_pi_p, quadrature_point_interpolant,
                              solution_energy, solve)
 from pmlwave.mesh import (build_cartesian_mesh, dof_map, homogeneous_material,
@@ -62,6 +66,28 @@ def test_component_matrices_match_oracle(p):
         assert np.max(np.abs(got.toarray() - ref[name])) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_kronecker_matrices_match_element_assembly(p):
+    # The slow reference: M_u, K_x and K_y element by element, on a non-square
+    # domain with nx != ny and non-unit kappa and rho.
+    mesh = build_cartesian_mesh((-1.0, 2.0, 0.0, 1.5), 0.25)
+    assert mesh.nx != mesh.ny
+    basis = tensor_basis_tables(p)
+    material = homogeneous_material(c=1.5, rho=2.0)
+    system = assemble_reduced(mesh, basis, material, 0.7 + 2.0j, 1.0, 3.0)
+    inv_rho = lambda x, y: 1.0 / material.rho(x, y)
+    expect = {
+        "M_u": assemble_weighted_mass(mesh, basis, system.dof_u,
+                                      lambda x, y: 1.0 / material.kappa(x, y)),
+        "K_x": assemble_stiffness(mesh, basis, system.dof_u, inv_rho, direction="x"),
+        "K_y": assemble_stiffness(mesh, basis, system.dof_u, inv_rho, direction="y"),
+    }
+    for name, ref in expect.items():
+        got = getattr(system, name)
+        assert got.shape == ref.shape
+        assert abs(got - ref).max() <= 1e-14 * abs(ref).max(), name
+
+
 def test_reduced_operator_composition():
     # A is exactly s^2 Sx Sy M + (Sy/Sx) K_x + (Sx/Sy) K_y after elimination.
     mesh = unit_mesh(0.5)
@@ -116,24 +142,32 @@ def test_solve_matches_dense_solve_on_indefinite_system(p):
     assert np.max(np.abs(u - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
-def test_solve_refuses_an_inaccurate_factor(monkeypatch):
-    factor = spla.splu
-
-    class Perturbed:
-        def __init__(self, lu):
-            self.lu = lu
-
-        def solve(self, rhs):
-            x = self.lu.solve(rhs)
-            noise = np.random.default_rng(0).standard_normal(x.shape)
-            return x + 1e-6 * np.max(np.abs(x)) * noise
-
-    monkeypatch.setattr(spla, "splu", lambda A, **kw: Perturbed(factor(A, **kw)))
+def test_solve_refuses_an_inaccurate_factor():
+    # A slightly wrong eigenvector factor or divisor still yields finite values;
+    # the check against the assembled A must catch either.
     system = assemble_reduced(unit_mesh(), tensor_basis_tables(2), homogeneous_material(),
                               1.0 + 4.0j, 3.0, 0.5)
     b = np.random.default_rng(4).standard_normal(system.A.shape[0])
-    with pytest.raises(NumericalError, match="backward error"):
-        solve(system, b)
+    solve(system, b)
+    rng = np.random.default_rng(0)
+    noise = rng.standard_normal(system.V_x.shape)
+    noise[[0, -1]] = 0.0  # keep the boundary rows zero: only accuracy suffers
+    scale = 1.0 + 1e-6 * rng.standard_normal(system.divisor.shape)
+    for corrupted in (replace(system, V_x=system.V_x + 1e-6 * noise),
+                      replace(system, divisor=system.divisor * scale)):
+        with pytest.raises(NumericalError, match="backward error"):
+            solve(corrupted, b)
+
+
+@pytest.mark.parametrize("varies", ["x", "y"])
+def test_assemble_reduced_refuses_varying_material(varies):
+    base = homogeneous_material(c=1.5, rho=2.0)
+    ramp = (lambda x, y: 1.0 + x) if varies == "x" else (lambda x, y: 1.0 + y)
+    for material in (replace(base, kappa=lambda x, y: base.kappa(x, y) * ramp(x, y)),
+                     replace(base, rho=lambda x, y: base.rho(x, y) * ramp(x, y))):
+        with pytest.raises(ConfigError, match="constant material"):
+            assemble_reduced(unit_mesh(0.5), tensor_basis_tables(1), material,
+                             1.0 + 1.0j, 0.0, 0.0)
 
 
 def test_polynomial_manufactured_solution_is_exact():
@@ -180,6 +214,29 @@ def test_energy_inequality_deterministic_cases():
             lhs, rhs, margin = energy_inequality_check(system, f)
             assert margin >= -1e-10 * rhs
             assert lhs >= 0.0 and rhs >= 0.0
+
+
+@pytest.mark.parametrize("s, d_x, d_y", [(10.0 + 0.0j, 0.0, 0.0), (0.5 + 5.0j, 1.0, 5.0),
+                                          (0.01 + 5.68j, 0.0, 0.0), (2.0 - 3.0j, 5.0, 0.0)])
+def test_interior_energy_bound_is_the_sup_over_interior_data(s, d_x, d_y):
+    # Brute force: the sup of E_u / E_f over data f vanishing on the boundary is the
+    # largest generalized eigenvalue of (T^H G T, M_II), T mapping f to u through a
+    # dense solve and G the energy form of E_u^2. s = 0.01 + 5.68i sits next to the
+    # lowest mode (omega 5.680), where the sup is close to 1/sqrt(2).
+    mesh = build_cartesian_mesh((0.0, 1.0, 0.0, 1.5), 0.5)
+    system = assemble_reduced(mesh, tensor_basis_tables(2), homogeneous_material(c=1.5, rho=2.0),
+                              s, d_x, d_y)
+    inner = np.setdiff1d(np.arange(system.A.shape[0]), system.dof_u.boundary)
+    load = system.M_u.toarray()[:, inner]
+    load[system.dof_u.boundary] = 0.0
+    T = np.linalg.solve(system.A.toarray(), load)
+    G = (abs(s) ** 2 * system.M_u + system.K_x / abs(system.S_x) ** 2
+         + system.K_y / abs(system.S_y) ** 2).toarray()
+    M_II = system.M_u.toarray()[np.ix_(inner, inner)]
+    top = la.eigh(T.conj().T @ G @ T, M_II, eigvals_only=True)[-1]
+    expect = s.real * np.sqrt(top)
+    assert interior_energy_bound(system) == pytest.approx(expect, rel=1e-10)
+    assert interior_energy_bound(system) <= 2.0
 
 
 def test_energies_are_norms():
