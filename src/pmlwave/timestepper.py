@@ -20,11 +20,10 @@ trajectory yields the state after each fixed step, so a consumer keeps
 only what it needs: run records energy, amplitudes and snapshots, and the
 layer-error experiment compares the damped run at every step with a
 reference that, if it separates, modal_trajectory steps mode by mode
-through the same RK4 step and loop, after checking dt against RK4's limit.
+through the same RK4 step and loop. Both refuse a dt past stability_limit.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -38,10 +37,11 @@ from .assembly import (
     assemble_forcing_spatial,
     constrain_operators,
     lattice_eigenbasis,
+    lattice_matrix_1d,
     tensor_mass_inverse,
 )
 from .errors import ConfigError, NumericalError
-from .mesh import DofMap, MaterialField, MeshQ, constant_material
+from .mesh import DofMap, MaterialField, MeshQ, constant_material, physical_quad_points
 from .quadrature import BasisQp
 from .solvers import pcg
 
@@ -255,20 +255,32 @@ def snapshot_steps(snapshot_times, dt: float) -> dict:
     return steps
 
 
-def _cfl_check(ops: Operators, dt: float) -> None:
-    # Heuristic only: explicit stages resolve waves crossing a node spacing
-    # of roughly h/p^2; warn when dt strays past half of that.
-    x = ops.dof_u.node_coords[:, 0]
-    y = ops.dof_u.node_coords[:, 1]
-    c_max = float(np.max(ops.material.wave_speed(x, y)))
-    h = min(ops.mesh.hx, ops.mesh.hy)
-    limit = 0.5 * h / (c_max * ops.basis.p**2)
-    if dt > limit:
-        warnings.warn(
-            f"dt={dt} exceeds the heuristic stability guide {limit:.4g} "
-            f"(h={h}, c_max={c_max}, p={ops.basis.p})",
-            RuntimeWarning,
-        )
+def stability_limit(mesh: MeshQ, basis: BasisQp, material: MaterialField, r: float) -> float:
+    """RK4's largest stable dt, 2 sqrt(2) / omega_max, for the undamped operator.
+
+    omega_max^2 tops the 1D pair (K_y(w_rho) + lam_x M_y(w_rho), M_y(w_kappa)), where lam_x
+    tops the unit-weight (K_x, M_x) and w_rho, w_kappa are the max of 1/rho and the min of
+    1/kappa over x at each y quadrature point: exact for material varying only in y,
+    conservative otherwise. Interior lattices for r = -1; damping and impedance are left out.
+    """
+    inner = slice(1, -1) if r == -1.0 else slice(None)
+    lam_x = lattice_eigenbasis(basis, mesh.nx, mesh.hx, inner)[2][-1]
+    X, Y = physical_quad_points(mesh, basis)
+    shape = (mesh.ny, mesh.nx, basis.quad.n, -1)
+    w_rho = np.broadcast_to(1.0 / material.rho(X, Y), X.shape).reshape(shape).max(axis=(1, 3))
+    w_kappa = np.broadcast_to(1.0 / material.kappa(X, Y), X.shape).reshape(shape).min(axis=(1, 3))
+    M_y, K_y, M_kappa = (
+        lattice_matrix_1d(basis, w, scale, table)[inner, inner] for w, scale, table in
+        ((w_rho, mesh.hy / 2.0, basis.val1d), (w_rho, 2.0 / mesh.hy, basis.der1d),
+         (w_kappa, mesh.hy / 2.0, basis.val1d)))
+    return 2.0 * math.sqrt(2.0 / la.eigh(K_y + lam_x * M_y, M_kappa, eigvals_only=True)[-1])
+
+
+def _refuse_unstable(dt: float, mesh: MeshQ, basis: BasisQp, material: MaterialField, r: float):
+    """NumericalError, before any step, when dt exceeds stability_limit."""
+    if dt > (limit := stability_limit(mesh, basis, material, r)):
+        raise NumericalError(f"solution would become non-finite: dt={dt:g} exceeds the RK4 "
+                             f"stability limit {limit:.4g}")
 
 
 def step_count(dt: float, t_end: float) -> int:
@@ -294,10 +306,11 @@ def trajectory(ops: Operators, forcing: GaussianPulse | None, dt: float, t_end: 
 
     initial is an optional (u, v) pair, copied into the state; phi starts at
     zero, which keeps it zero off the layer. Each yielded array is new and
-    never written again. NumericalError at the first step whose u is not finite.
+    never written again. NumericalError before the first step if dt is past
+    stability_limit, and at the first step whose u is not finite.
     """
     n_steps = step_count(dt, t_end)
-    _cfl_check(ops, dt)
+    _refuse_unstable(dt, ops.mesh, ops.basis, ops.material, ops.r)
     stepper = WaveStepper(ops, forcing, forcing_cutoff=forcing_cutoff)
     n = ops.n_u
     y = np.zeros(stepper.n_state)
@@ -323,11 +336,12 @@ def modal_trajectory(mesh: MeshQ, basis: BasisQp, dof_u: DofMap, material: Mater
     oscillators w_ij'' = -c^2 (lam_x,i + lam_y,j) w_ij + e(t) kappa (V_y^T F V_x)_ij.
     RK4 commutes with that fixed change of basis, so this matches trajectory up
     to roundoff. nodes form a lattice rectangle in nodes_in_box order.
-    NumericalError before the first step if dt is past RK4's stability limit.
+    NumericalError before the first step if dt is past stability_limit.
     """
     n_steps = step_count(dt, t_end)
     if not separates(mesh, basis, material, r):
         raise ValueError("modal_trajectory needs constant kappa and rho and r = -1 or 1")
+    _refuse_unstable(dt, mesh, basis, material, r)
     kappa, rho = constant_material(mesh, basis, material)
     inner = slice(1, -1) if r == -1.0 else slice(None)
     _, _, lam_x, V_x = lattice_eigenbasis(basis, mesh.nx, mesh.hx, inner)
@@ -342,10 +356,6 @@ def modal_trajectory(mesh: MeshQ, basis: BasisQp, dof_u: DofMap, material: Mater
     f_hat = (kappa * (V_y.T @ F.reshape(V_y.shape[0], n_x) @ V_x)).ravel()
     neg_omega2 = (-(kappa / rho) * (lam_y[:, None] + lam_x)).ravel()
     m = neg_omega2.size
-    omega_max = math.sqrt(float(np.max(-neg_omega2, initial=0.0)))
-    if dt * omega_max > 2.0 * math.sqrt(2.0):  # RK4 bounds undamped modes up to 2 sqrt(2)
-        raise NumericalError(f"solution would become non-finite: dt={dt:g} exceeds the RK4 "
-                             f"stability limit {2.0 * math.sqrt(2.0) / omega_max:.4g}")
 
     def rhs(y, t, out):
         # The state is [w, w'] with w the modal displacement, raveled (y, x).

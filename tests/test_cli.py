@@ -215,6 +215,23 @@ def test_unstable_pml_error_exits_three(tmp_path, capsys):
     assert "stability limit" in err
 
 
+def test_unstable_nodal_pml_error_is_refused_before_stepping(tmp_path, capsys):
+    # r = 0.5 keeps both runs nodal. Without a check before the first step, dt = 0.5
+    # surfaces only once the damped run's CG overflows, after numpy overflow warnings.
+    data = dict(MICRO)
+    data.update({"dt": 0.5, "t_end": 300.0, "r": 0.5})
+    path = tmp_path / "fast.json"
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["pml-error", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert "stability limit" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "pml_error.csv").exists()
+    assert [str(w.message) for w in caught
+            if "reference domain too small" not in str(w.message)] == []
+
+
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "pmlwave.cli", "--help"],
                           capture_output=True, text=True)
