@@ -15,25 +15,26 @@ error measurement over-integrates.
 The material is constant as well, so on the uniform grid every term is a
 Kronecker product of the unit-weight 1D lattice mass and stiffness, in the
 (y, x) node order: M_u = M_y (x) M_x / kappa, K_x = M_y (x) K_x1 / rho and
-K_y = K_y1 (x) M_x / rho. The 1D generalized eigenbases V_x, V_y of the
-interior lattices diagonalize all three at once, so A(s) is diagonal in
-V_y (x) V_x for every s (fast diagonalization), and a solve is four GEMMs and
-one division. Every solve checks its normwise backward error against the
-assembled A. The same eigenvalues give the sup of the energy ratio over all
-interior data in closed form (interior_energy_bound).
+K_y = K_y1 (x) M_x / rho. No 2D matrix is formed: each operator applies to the
+node lattice U through its 1D factors as small GEMMs, M_y U M_x^T / kappa for M_u.
+The 1D generalized eigenbases V_x, V_y of the interior lattices diagonalize all
+three at once, so A(s) is diagonal in V_y (x) V_x for every s (fast
+diagonalization), and a solve is four GEMMs and one division. Every solve checks
+its normwise backward error through the mass and stiffness factors. The same
+eigenvalues give the sup of the energy ratio over all interior data in closed
+form (interior_energy_bound).
 
 Variable damping is rejected here on purpose: its growth-rate bound is not
 available in computable form, so the bench would be asserting a constant it
 cannot know. Variable material is rejected because it does not separate.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-from .assembly import (_coef_at_quad, assemble_load, element_blocks, eliminate_dirichlet,
-                       lattice_eigenbasis, reference_mass)
+from .assembly import (_coef_at_quad, assemble_load, element_blocks, lattice_eigenbasis,
+                       reference_mass)
 from .errors import ConfigError, NumericalError
 from .mesh import (DofMap, MaterialField, MeshQ, build_cartesian_mesh, constant_material,
                    dof_map, homogeneous_material)
@@ -43,12 +44,14 @@ from .quadrature import BasisQp, gauss_legendre_rule, lagrange_values_at, tensor
 
 @dataclass(frozen=True)
 class ComplexSystem:
-    """Reduced constant-damping system at one complex frequency, and its eigenbasis.
+    """Reduced constant-damping system at one complex frequency, as 1D lattice factors.
 
-    V_x and V_y hold the M-orthonormal eigenvectors of the unit-weight 1D pairs
-    (K_x1, M_x) and (K_y1, M_y) on the interior lattices, with zero rows at the
-    boundary nodes; lam_x and lam_y hold their eigenvalues. divisor holds A's
-    eigenvalues a_ij = s^2 Sx Sy / kappa + ((Sy/Sx) lam_x[j] + (Sx/Sy) lam_y[i]) / rho.
+    M_x, K_x1, M_y and K_y1 are the unit-weight 1D mass and stiffness of the full lattices.
+    M_u (the raw 1/kappa mass, used by the discrete norms), K_x, K_y and the Dirichlet-
+    eliminated A apply through them. V_x and V_y hold the M-orthonormal eigenvectors of
+    (K_x1, M_x) and (K_y1, M_y) on the interior lattices, with zero rows at the boundary
+    nodes, and lam_x and lam_y their eigenvalues. divisor holds A's eigenvalues
+    a_ij = s^2 Sx Sy / kappa + ((Sy/Sx) lam_x[j] + (Sx/Sy) lam_y[i]) / rho.
     """
 
     s: complex
@@ -59,15 +62,19 @@ class ComplexSystem:
     kappa: float              # the material, constant at every quadrature point
     rho: float
     dof_u: DofMap
-    A: sp.csr_matrix          # Dirichlet-eliminated
-    M_u: sp.csr_matrix        # raw 1/kappa mass, used by the discrete norms
-    K_x: sp.csr_matrix
-    K_y: sp.csr_matrix
+    M_x: np.ndarray
+    K_x1: np.ndarray
+    M_y: np.ndarray
+    K_y1: np.ndarray
     V_x: np.ndarray
     V_y: np.ndarray
     lam_x: np.ndarray
     lam_y: np.ndarray
     divisor: np.ndarray       # shape (lam_y.size, lam_x.size)
+    norm_A: float = field(init=False)  # ||A||_inf, computed once per system
+
+    def __post_init__(self):
+        object.__setattr__(self, "norm_A", max(1.0, _max_row_sum(self._a_terms(), self.basis.p)))
 
     @property
     def S_x(self) -> complex:
@@ -76,6 +83,57 @@ class ComplexSystem:
     @property
     def S_y(self) -> complex:
         return stretch(self.s, self.d_y)
+
+    M_u = property(lambda self: _lattice_operator([(1.0 / self.kappa, self.M_y, self.M_x)]))
+    K_x = property(lambda self: _lattice_operator([(1.0 / self.rho, self.M_y, self.K_x1)]))
+    K_y = property(lambda self: _lattice_operator([(1.0 / self.rho, self.K_y1, self.M_x)]))
+    A = property(lambda self: _lattice_operator(self._a_terms(), slice(1, -1)))
+
+    def _a_terms(self):  # A(s) before elimination, as sum c L (x) R
+        Sx, Sy = self.S_x, self.S_y
+        return [(self.s * self.s * Sx * Sy / self.kappa, self.M_y, self.M_x),
+                (Sy / Sx / self.rho, self.M_y, self.K_x1), (Sx / Sy / self.rho, self.K_y1, self.M_x)]
+
+
+def _lattice_operator(terms, nodes=slice(None)):
+    """sum c L (x) R, applied as sum c L U R^T to the (y, x) node lattice U in the rows and
+    columns of nodes in both directions; every other row is the identity's."""
+    # Imported on first use: scipy.sparse.linalg adds about 2 MB of resident memory to
+    # a process, and a process can import this module without building any system.
+    from scipy.sparse.linalg import LinearOperator
+
+    shape, keep = (terms[0][1].shape[0], terms[0][2].shape[0]), (nodes, nodes)
+
+    def matvec(u):
+        U, out = u.reshape(shape), u.astype(complex).reshape(shape)
+        out[keep] = sum(c * _sandwich(L[keep], U[keep], R[keep]) for c, L, R in terms)
+        return out.ravel()
+
+    return LinearOperator((shape[0] * shape[1],) * 2, matvec=matvec, dtype=complex)
+
+
+def _sandwich(L, U, R):
+    """L U R^T for real L and R, as real GEMMs also when U is complex."""
+    if np.iscomplexobj(U):
+        return _sandwich(L, U.real, R) + 1j * _sandwich(L, U.imag, R)
+    return L @ U @ R.T
+
+
+def _max_row_sum(terms, p: int) -> float:
+    """Max row sum of |sum c L (x) R| over the interior rows and columns, exactly: a row's
+    entries depend only on the band rows (offsets -p..p) of the Ls at its y node and of the
+    Rs at its x node, so pairs of distinct band rows cover every row."""
+    def distinct_bands(mats):
+        rows = np.arange(mats[0].shape[0] - 2)[:, None]
+        bands = np.hstack([np.pad(m[1:-1, 1:-1], p)[rows + p, rows + np.arange(2 * p + 1)]
+                           for m in mats])
+        distinct = {row.tobytes(): row for row in bands}
+        return np.split(np.array(list(distinct.values())), len(mats), axis=1)
+
+    ls, rs = distinct_bands([L for _, L, _ in terms]), distinct_bands([R for _, _, R in terms])
+    sums = sum(c * l[:, None, :, None] * r[None, :, None, :]
+               for (c, _, _), l, r in zip(terms, ls, rs))
+    return float(np.abs(sums).sum(axis=(2, 3)).max())
 
 
 def assemble_reduced(
@@ -86,7 +144,7 @@ def assemble_reduced(
     d_x: float,
     d_y: float,
 ) -> ComplexSystem:
-    """Assemble A(s) for constant damping (d_x, d_y) and constant material, Dirichlet eliminated.
+    """A(s) for constant damping (d_x, d_y) and constant material, Dirichlet eliminated.
 
     With d = 0 this is exactly s^2*M_u + K.
     """
@@ -114,28 +172,11 @@ def assemble_reduced(
     inner = slice(1, -1)  # the Dirichlet nodes are eliminated
     M_x, K_x1, lam_x, V_x = lattice_eigenbasis(basis, mesh.nx, mesh.hx, inner)
     M_y, K_y1, lam_y, V_y = lattice_eigenbasis(basis, mesh.ny, mesh.hy, inner)
-    # Each axis's mass and stiffness get one sparsity pattern, so the three
-    # Kronecker products share theirs and A is a sum of their value arrays.
-    M_x, K_x1, M_y, K_y1 = (*_on_one_pattern(M_x, K_x1), *_on_one_pattern(M_y, K_y1))
-    M_u = sp.kron(M_y, M_x, format="csr") / kappa
-    K_x = sp.kron(M_y, K_x1, format="csr") / rho
-    K_y = sp.kron(K_y1, M_x, format="csr") / rho
-
-    Sx = stretch(s, d_x)
-    Sy = stretch(s, d_y)
-    A = sp.csr_matrix(((s * s * Sx * Sy) * M_u.data + (Sy / Sx) * K_x.data
-                       + (Sx / Sy) * K_y.data, M_u.indices, M_u.indptr), shape=M_u.shape)
-    A = eliminate_dirichlet(A, dof_u.boundary, dof_u.n_dofs, diag=1.0)
+    Sx, Sy = stretch(s, d_x), stretch(s, d_y)
     divisor = s * s * Sx * Sy / kappa + ((Sy / Sx) * lam_x + (Sx / Sy) * lam_y[:, None]) / rho
     return ComplexSystem(s=s, d_x=d_x, d_y=d_y, mesh=mesh, basis=basis, kappa=kappa, rho=rho,
-                         dof_u=dof_u, A=A, M_u=M_u, K_x=K_x, K_y=K_y,
+                         dof_u=dof_u, M_x=M_x, K_x1=K_x1, M_y=M_y, K_y1=K_y1,
                          V_x=V_x, V_y=V_y, lam_x=lam_x, lam_y=lam_y, divisor=divisor)
-
-
-def _on_one_pattern(*dense):
-    """The dense matrices as CSR on the union of their nonzero patterns, zeros stored."""
-    rows, cols = np.nonzero(np.logical_or.reduce([m != 0 for m in dense]))
-    return [sp.csr_matrix((m[rows, cols], (rows, cols)), shape=m.shape) for m in dense]
 
 
 def solution_energy(system: ComplexSystem, u_hat: np.ndarray) -> float:
@@ -158,19 +199,19 @@ def solve(system: ComplexSystem, b: np.ndarray) -> np.ndarray:
     On the (y, x) node lattice the solution is U = V_y ((V_y^T B V_x) / a) V_x^T with
     a = system.divisor: four GEMMs and one division, and zero on the boundary
     because V_x and V_y have zero rows there. Each solve checks its own result:
-    the normwise backward error ||b - A x||_inf / (||A||_inf ||x||_inf + ||b||_inf)
-    against the assembled A must not exceed 1e-12, or NumericalError is raised.
+    the normwise backward error ||b - A x||_inf / (||A||_inf ||x||_inf + ||b||_inf),
+    with A applied through its mass and stiffness factors, must not exceed 1e-12,
+    or NumericalError is raised.
     """
     rhs = np.asarray(b, dtype=complex).copy()
     rhs[system.dof_u.boundary] = 0.0
     V_x, V_y = system.V_x, system.V_y
     B = rhs.reshape(V_y.shape[0], V_x.shape[0])
-    u = (V_y @ ((V_y.T @ B @ V_x) / system.divisor) @ V_x.T).ravel()
+    u = _sandwich(V_y, _sandwich(V_y.T, B, V_x.T) / system.divisor, V_x).ravel()
     if not np.all(np.isfinite(u)):
         raise NumericalError("direct solve produced non-finite values")
     residual = np.max(np.abs(rhs - system.A @ u))
-    norm_A = np.max(abs(system.A).sum(axis=1))
-    scale = norm_A * np.max(np.abs(u)) + np.max(np.abs(rhs))
+    scale = system.norm_A * np.max(np.abs(u)) + np.max(np.abs(rhs))
     if residual > 1e-12 * scale:  # a zero b passes with a zero residual
         raise NumericalError(f"direct solve has backward error "
                              f"{residual / scale:.3e} > 1e-12")

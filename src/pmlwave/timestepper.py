@@ -264,16 +264,21 @@ def stability_limit(mesh: MeshQ, basis: BasisQp, material: MaterialField, r: flo
     conservative otherwise. Interior lattices for r = -1; damping and impedance are left out.
     """
     inner = slice(1, -1) if r == -1.0 else slice(None)
-    lam_x = lattice_eigenbasis(basis, mesh.nx, mesh.hx, inner)[2][-1]
     X, Y = physical_quad_points(mesh, basis)
     shape = (mesh.ny, mesh.nx, basis.quad.n, -1)
     w_rho = np.broadcast_to(1.0 / material.rho(X, Y), X.shape).reshape(shape).max(axis=(1, 3))
     w_kappa = np.broadcast_to(1.0 / material.kappa(X, Y), X.shape).reshape(shape).min(axis=(1, 3))
-    M_y, K_y, M_kappa = (
+    unit = np.ones((mesh.nx, basis.quad.n))
+    M_x, K_x, M_y, K_y, M_kappa = (
         lattice_matrix_1d(basis, w, scale, table)[inner, inner] for w, scale, table in
-        ((w_rho, mesh.hy / 2.0, basis.val1d), (w_rho, 2.0 / mesh.hy, basis.der1d),
+        ((unit, mesh.hx / 2.0, basis.val1d), (unit, 2.0 / mesh.hx, basis.der1d),
+         (w_rho, mesh.hy / 2.0, basis.val1d), (w_rho, 2.0 / mesh.hy, basis.der1d),
          (w_kappa, mesh.hy / 2.0, basis.val1d)))
-    return 2.0 * math.sqrt(2.0 / la.eigh(K_y + lam_x * M_y, M_kappa, eigvals_only=True)[-1])
+
+    def top(K, M):  # the largest eigenvalue of the pair, without the others
+        return la.eigh(K, M, eigvals_only=True, subset_by_index=[len(M) - 1] * 2)[0]
+
+    return 2.0 * math.sqrt(2.0 / top(K_y + top(K_x, M_x) * M_y, M_kappa))
 
 
 def _refuse_unstable(dt: float, mesh: MeshQ, basis: BasisQp, material: MaterialField, r: float):

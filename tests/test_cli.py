@@ -192,27 +192,31 @@ def test_unstable_run_exits_three(tmp_path, capsys):
     data.update({"dt": 5.0, "t_end": 2000.0})
     path = tmp_path / "fast.json"
     path.write_text(json.dumps(data))
-    with warnings.catch_warnings(), np.errstate(all="ignore"):
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
 
 
 def test_unstable_pml_error_exits_three(tmp_path, capsys):
-    # dt = 0.5 is far past stability. At t_end = 100 neither run overflows, so
-    # only the reference's stability check can stop it.
+    # dt = 0.5 is far past stability. The damped run's trajectory refuses it before
+    # its first step, so neither run steps and nothing can overflow; the only
+    # warning left is the micro reference domain's reach at t_end = 100.
     data = dict(MICRO)
     data.update({"dt": 0.5, "t_end": 100.0})
     path = tmp_path / "fast.json"
     path.write_text(json.dumps(data))
-    with warnings.catch_warnings(), np.errstate(all="ignore"):
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rc = main(["pml-error", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 3
     err = capsys.readouterr().err
     assert "numerical failure: solution would become non-finite" in err
     assert "stability limit" in err
+    assert [str(w.message) for w in caught
+            if "reference domain too small" not in str(w.message)] == []
 
 
 def test_unstable_nodal_pml_error_is_refused_before_stepping(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from pmlwave.assembly import assemble_stiffness, assemble_weighted_mass
+from pmlwave.assembly import assemble_stiffness, assemble_weighted_mass, eliminate_dirichlet
 from pmlwave.errors import ConfigError, NumericalError
 from pmlwave.laplace import (assemble_reduced, data_energy,
                              energy_inequality_check, interior_energy_bound,
@@ -22,6 +22,11 @@ def unit_mesh(h=0.25):
     return build_cartesian_mesh((0.0, 1.0, 0.0, 1.0), h)
 
 
+def dense(op):
+    """The operator as a dense matrix, one column per unit vector."""
+    return op @ np.eye(op.shape[1])
+
+
 def eliminate(A_dense, boundary):
     out = A_dense.copy()
     out[boundary, :] = 0.0
@@ -36,9 +41,9 @@ def test_zero_damping_gives_plain_helmholtz_operator():
     mat = homogeneous_material()
     s = 1.5 + 2.5j
     system = assemble_reduced(mesh, basis, mat, s, 0.0, 0.0)
-    expect = eliminate((s * s * system.M_u + (system.K_x + system.K_y)).toarray(),
+    expect = eliminate(s * s * dense(system.M_u) + (dense(system.K_x) + dense(system.K_y)),
                        system.dof_u.boundary)
-    err = np.max(np.abs(system.A.toarray() - expect))
+    err = np.max(np.abs(dense(system.A) - expect))
     assert err <= 1e-13
     assert system.S_x == 1.0 and system.S_y == 1.0
 
@@ -47,7 +52,7 @@ def test_real_frequency_zero_damping_operator_is_real():
     mesh = unit_mesh(0.5)
     basis = tensor_basis_tables(1)
     system = assemble_reduced(mesh, basis, homogeneous_material(), 2.0 + 0.0j, 0.0, 0.0)
-    assert np.max(np.abs(system.A.toarray().imag)) == 0.0
+    assert np.max(np.abs(dense(system.A).imag)) == 0.0
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -63,18 +68,20 @@ def test_component_matrices_match_oracle(p):
     ref = oracle.matrices()
     for name, got in (("M_u", system.M_u), ("K_x", system.K_x), ("K_y", system.K_y)):
         scale = np.max(np.abs(ref[name]))
-        assert np.max(np.abs(got.toarray() - ref[name])) <= 1e-12 * scale
+        assert np.max(np.abs(dense(got) - ref[name])) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_kronecker_matrices_match_element_assembly(p):
-    # The slow reference: M_u, K_x and K_y element by element, on a non-square
-    # domain with nx != ny and non-unit kappa and rho.
+    # The slow reference: M_u, K_x, K_y and the Dirichlet-eliminated A element by
+    # element, on a non-square domain with nx != ny, non-unit kappa and rho, complex s
+    # and d_x != d_y.
     mesh = build_cartesian_mesh((-1.0, 2.0, 0.0, 1.5), 0.25)
     assert mesh.nx != mesh.ny
     basis = tensor_basis_tables(p)
     material = homogeneous_material(c=1.5, rho=2.0)
-    system = assemble_reduced(mesh, basis, material, 0.7 + 2.0j, 1.0, 3.0)
+    s = 0.7 + 2.0j
+    system = assemble_reduced(mesh, basis, material, s, 1.0, 3.0)
     inv_rho = lambda x, y: 1.0 / material.rho(x, y)
     expect = {
         "M_u": assemble_weighted_mass(mesh, basis, system.dof_u,
@@ -82,10 +89,17 @@ def test_kronecker_matrices_match_element_assembly(p):
         "K_x": assemble_stiffness(mesh, basis, system.dof_u, inv_rho, direction="x"),
         "K_y": assemble_stiffness(mesh, basis, system.dof_u, inv_rho, direction="y"),
     }
+    Sx, Sy = system.S_x, system.S_y
+    expect["A"] = eliminate_dirichlet(
+        (s * s * Sx * Sy) * expect["M_u"] + (Sy / Sx) * expect["K_x"] + (Sx / Sy) * expect["K_y"],
+        system.dof_u.boundary, system.dof_u.n_dofs)
     for name, ref in expect.items():
         got = getattr(system, name)
         assert got.shape == ref.shape
-        assert abs(got - ref).max() <= 1e-14 * abs(ref).max(), name
+        assert abs(dense(got) - ref).max() <= 1e-14 * abs(ref).max(), name
+    # ||A||_inf from the distinct band rows of the 1D factors, against every row of |A|.
+    norm = abs(expect["A"]).sum(axis=1).max()
+    assert abs(system.norm_A - norm) <= 1e-14 * norm
 
 
 def test_reduced_operator_composition():
@@ -95,10 +109,10 @@ def test_reduced_operator_composition():
     s, dx, dy = 0.7 + 3.0j, 4.0, 1.0
     system = assemble_reduced(mesh, basis, homogeneous_material(), s, dx, dy)
     Sx, Sy = system.S_x, system.S_y
-    A0 = (s * s * Sx * Sy) * system.M_u.toarray() \
-        + (Sy / Sx) * system.K_x.toarray() + (Sx / Sy) * system.K_y.toarray()
+    A0 = (s * s * Sx * Sy) * dense(system.M_u) \
+        + (Sy / Sx) * dense(system.K_x) + (Sx / Sy) * dense(system.K_y)
     expect = eliminate(A0, system.dof_u.boundary)
-    assert np.max(np.abs(system.A.toarray() - expect)) <= 1e-13
+    assert np.max(np.abs(dense(system.A) - expect)) <= 1e-13
 
 
 def test_assemble_reduced_validation():
@@ -137,7 +151,7 @@ def test_solve_matches_dense_solve_on_indefinite_system(p):
     n = system.A.shape[0]
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     b[system.dof_u.boundary] = 0.0
-    expect = np.linalg.solve(system.A.toarray(), b)
+    expect = np.linalg.solve(dense(system.A), b)
     u = solve(system, b)
     assert np.max(np.abs(u - expect)) <= 1e-12 * np.max(np.abs(expect))
 
@@ -157,6 +171,16 @@ def test_solve_refuses_an_inaccurate_factor():
                       replace(system, divisor=system.divisor * scale)):
         with pytest.raises(NumericalError, match="backward error"):
             solve(corrupted, b)
+
+
+def test_solve_checks_against_the_mass_and_stiffness_factors():
+    # The solve never reads K_x1; only the backward-error check does, so a corrupted
+    # K_x1 leaves the solution as it was and must fail the check.
+    system = assemble_reduced(unit_mesh(), tensor_basis_tables(2), homogeneous_material(),
+                              1.0 + 4.0j, 3.0, 0.5)
+    b = np.random.default_rng(4).standard_normal(system.A.shape[0])
+    with pytest.raises(NumericalError, match="backward error"):
+        solve(replace(system, K_x1=system.K_x1 * (1.0 + 1e-6)), b)
 
 
 @pytest.mark.parametrize("varies", ["x", "y"])
@@ -227,12 +251,12 @@ def test_interior_energy_bound_is_the_sup_over_interior_data(s, d_x, d_y):
     system = assemble_reduced(mesh, tensor_basis_tables(2), homogeneous_material(c=1.5, rho=2.0),
                               s, d_x, d_y)
     inner = np.setdiff1d(np.arange(system.A.shape[0]), system.dof_u.boundary)
-    load = system.M_u.toarray()[:, inner]
+    load = dense(system.M_u)[:, inner]
     load[system.dof_u.boundary] = 0.0
-    T = np.linalg.solve(system.A.toarray(), load)
-    G = (abs(s) ** 2 * system.M_u + system.K_x / abs(system.S_x) ** 2
-         + system.K_y / abs(system.S_y) ** 2).toarray()
-    M_II = system.M_u.toarray()[np.ix_(inner, inner)]
+    T = np.linalg.solve(dense(system.A), load)
+    G = (abs(s) ** 2 * dense(system.M_u) + dense(system.K_x) / abs(system.S_x) ** 2
+         + dense(system.K_y) / abs(system.S_y) ** 2)
+    M_II = dense(system.M_u)[np.ix_(inner, inner)]
     top = la.eigh(T.conj().T @ G @ T, M_II, eigvals_only=True)[-1]
     expect = s.real * np.sqrt(top)
     assert interior_energy_bound(system) == pytest.approx(expect, rel=1e-10)
