@@ -23,6 +23,7 @@ are (B_eta^T equals the unit-weight gradient coupling).
 
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 import scipy.linalg as la
@@ -107,15 +108,20 @@ class Operators:
         return self.pml_cfg is not None and self.pml_cfg.enabled
 
 
-def _scatter(rows_cell, cols_cell, blocks, shape) -> sp.csr_matrix:
-    """Accumulate per-element dense blocks into CSR.
+def _scatter(rows_cell, cols_cell, coef, weights, terms, shape) -> sp.csr_matrix:
+    """Assemble the element_blocks(coef, weights, terms) of every element into CSR.
 
-    Element traversal order is fixed by the caller, and duplicate summation
-    happens in canonical (row, col) order, so the result is reproducible.
+    Elements whose coefficient row is all zero add nothing and are dropped
+    before the GEMM; stored zeros are eliminated. The same inputs give the
+    same matrix, and dropping elements leaves its sparsity pattern unchanged,
+    but not its last bits: scipy sums duplicates after an unstable sort.
     """
+    coef = np.asarray(coef)
+    live = np.any(coef != 0, axis=1)
+    blocks = element_blocks(coef[live], weights, terms)
     ne, m, n = blocks.shape
-    rows = np.broadcast_to(rows_cell[:, :, None], (ne, m, n)).ravel()
-    cols = np.broadcast_to(cols_cell[:, None, :], (ne, m, n)).ravel()
+    rows = np.broadcast_to(rows_cell[live][:, :, None], (ne, m, n)).ravel()
+    cols = np.broadcast_to(cols_cell[live][:, None, :], (ne, m, n)).ravel()
     A = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=shape).tocsr()
     A.sum_duplicates()
     A.sort_indices()
@@ -161,9 +167,9 @@ def assemble_weighted_mass(mesh: MeshQ, basis: BasisQp, dofmap: DofMap, weight) 
     """
     coef = _coef_at_quad(weight, mesh, basis)
     J = mesh.hx * mesh.hy / 4.0
-    blocks = element_blocks(coef, basis.w2d, [(J, basis.val2d, basis.val2d)])
     n = dofmap.n_dofs
-    return _scatter(dofmap.cell_dofs, dofmap.cell_dofs, blocks, (n, n))
+    return _scatter(dofmap.cell_dofs, dofmap.cell_dofs, coef, basis.w2d,
+                    [(J, basis.val2d, basis.val2d)], (n, n))
 
 
 def assemble_stiffness(
@@ -186,9 +192,8 @@ def assemble_stiffness(
         terms.append((mesh.hy / mesh.hx, basis.dxi2d, basis.dxi2d))
     if direction in ("both", "y"):
         terms.append((mesh.hx / mesh.hy, basis.deta2d, basis.deta2d))
-    blocks = element_blocks(coef, basis.w2d, terms)
     n = dofmap.n_dofs
-    return _scatter(dofmap.cell_dofs, dofmap.cell_dofs, blocks, (n, n))
+    return _scatter(dofmap.cell_dofs, dofmap.cell_dofs, coef, basis.w2d, terms, (n, n))
 
 
 def _assemble_coupling_g(mesh, basis, dof_u, dof_phi, coef, axis: str) -> sp.csr_matrix:
@@ -197,9 +202,8 @@ def _assemble_coupling_g(mesh, basis, dof_u, dof_phi, coef, axis: str) -> sp.csr
         dcont, scale = basis.dxi2d, mesh.hy / 2.0
     else:
         dcont, scale = basis.deta2d, mesh.hx / 2.0
-    blocks = element_blocks(coef, basis.w2d, [(scale, basis.val2d, dcont)])
-    return _scatter(dof_phi.cell_dofs, dof_u.cell_dofs, blocks,
-                    (dof_phi.n_dofs, dof_u.n_dofs))
+    return _scatter(dof_phi.cell_dofs, dof_u.cell_dofs, coef, basis.w2d,
+                    [(scale, basis.val2d, dcont)], (dof_phi.n_dofs, dof_u.n_dofs))
 
 
 def _assemble_boundary(mesh, basis, dof_u, material, pml_cfg, r):
@@ -223,10 +227,9 @@ def _assemble_boundary(mesh, basis, dof_u, material, pml_cfg, r):
         dval = np.where(horizontal, damping("x", xs, pml_cfg), damping("y", ys, pml_cfg))
     dofs = dof_u.cell_dofs[elem[:, None], np.array(_edge_locals(basis.p))[edge]]
     n = dof_u.n_dofs
-    return tuple(
-        _scatter(dofs, dofs, element_blocks(coef, basis.quad.weights,
-                                            [(1.0, basis.val1d, basis.val1d)]), (n, n))
-        for coef in (coef_v, coef_v * dval))
+    return tuple(_scatter(dofs, dofs, coef, basis.quad.weights,
+                          [(1.0, basis.val1d, basis.val1d)], (n, n))
+                 for coef in (coef_v, coef_v * dval))
 
 
 def assemble_all(
@@ -258,34 +261,21 @@ def assemble_all(
         dx = dy = np.zeros_like(X)
     gam_x, gam_y = gamma_2d(dx, dy)
 
-    n_u = dof_u.n_dofs
-    n_phi = dof_phi.n_dofs
-
-    def mass(dofmap, coef):
-        if not np.any(coef):  # the damping terms of an undamped problem
-            return sp.csr_matrix((dofmap.n_dofs, dofmap.n_dofs))
-        return assemble_weighted_mass(mesh, basis, dofmap, coef)
-
+    mass = partial(assemble_weighted_mass, mesh, basis)
     M_u = mass(dof_u, 1.0 / kap)
     M_d1 = mass(dof_u, (dx + dy) / kap)
     M_d0 = mass(dof_u, upsilon_2d(dx, dy) / kap)
     K = assemble_stiffness(mesh, basis, dof_u, 1.0 / rho)
 
-    damped = pml_cfg is not None and pml_cfg.enabled
-    if damped:
-        # B_eta[v-row, phi-col] = (phi, d v / d eta)_h is the unit-weight G_eta transposed.
-        unit = np.ones(X.shape)
-        B_x = _assemble_coupling_g(mesh, basis, dof_u, dof_phi, unit, "x").T.tocsr()
-        B_y = _assemble_coupling_g(mesh, basis, dof_u, dof_phi, unit, "y").T.tocsr()
-        G_x = _assemble_coupling_g(mesh, basis, dof_u, dof_phi, gam_x / rho, "x")
-        G_y = _assemble_coupling_g(mesh, basis, dof_u, dof_phi, gam_y / rho, "y")
-    else:
-        # Without damping the auxiliary fields stay at zero and never feed
-        # back; dropping the couplings makes that structural.
-        B_x = sp.csr_matrix((n_u, n_phi))
-        B_y = sp.csr_matrix((n_u, n_phi))
-        G_x = sp.csr_matrix((n_phi, n_u))
-        G_y = sp.csr_matrix((n_phi, n_u))
+    # B_eta[v-row, phi-col] = (phi, d v / d eta)_h is the unit-weight G_eta transposed.
+    # Without damping the auxiliary fields stay at zero and never feed back; weight 0
+    # for B_eta and gamma = 0 for G_eta leave all four couplings empty, which makes
+    # that structural.
+    unit = np.full(X.shape, 1.0 if pml_cfg is not None and pml_cfg.enabled else 0.0)
+    B_x = _assemble_coupling_g(mesh, basis, dof_u, dof_phi, unit, "x").T.tocsr()
+    B_y = _assemble_coupling_g(mesh, basis, dof_u, dof_phi, unit, "y").T.tocsr()
+    G_x = _assemble_coupling_g(mesh, basis, dof_u, dof_phi, gam_x / rho, "x")
+    G_y = _assemble_coupling_g(mesh, basis, dof_u, dof_phi, gam_y / rho, "y")
 
     dirichlet = None
     R_v = R_theta = None
@@ -342,24 +332,30 @@ def lattice_matrix_1d(basis: BasisQp, coef_1d, scale: float, table) -> np.ndarra
     (y, x) order of dof_map, M_u = M_y (x) M_x / kappa and K = (M_y (x) K_x + K_y (x) M_x) / rho.
     """
     n_el, p = coef_1d.shape[0], basis.p
-    blocks = element_blocks(coef_1d, basis.quad.weights, [(scale, table, table)])
     cells = np.arange(n_el)[:, None] * p + np.arange(p + 1)
     n = n_el * p + 1
-    return _scatter(cells, cells, blocks, (n, n)).toarray()
+    return _scatter(cells, cells, coef_1d, basis.quad.weights, [(scale, table, table)],
+                    (n, n)).toarray()
 
 
-def lattice_eigenbasis(basis: BasisQp, n_el: int, h: float, inner: slice):
-    """Unit-weight 1D mass M and stiffness K of the n_el*p+1 lattice, and their eigenbasis.
+def lattice_eigenbases(basis: BasisQp, mesh: MeshQ, inner: slice):
+    """Unit-weight 1D mass M and stiffness K of the x and y node lattices, and their eigenbases.
 
-    Returns (M, K, lam, V) with K[inner, inner] V = M[inner, inner] V diag(lam) and
-    V^T M[inner, inner] V = I; V has a zero row at each node that inner drops.
+    Returns one (M, K, lam, V) per axis, x first, with K[inner, inner] V =
+    M[inner, inner] V diag(lam) and V^T M[inner, inner] V = I; V has a zero
+    row at each node that inner drops. A square lattice, (ny, hy) == (nx, hx),
+    returns the x tuple for y as well.
     """
-    M, K = (lattice_matrix_1d(basis, np.ones((n_el, basis.quad.n)), scale, table)
-            for scale, table in ((h / 2.0, basis.val1d), (2.0 / h, basis.der1d)))
-    lam, V = la.eigh(K[inner, inner], M[inner, inner])
-    full = np.zeros((M.shape[0], lam.size))
-    full[inner] = V
-    return M, K, lam, full
+    def axis(n_el, h):
+        M, K = (lattice_matrix_1d(basis, np.ones((n_el, basis.quad.n)), scale, table)
+                for scale, table in ((h / 2.0, basis.val1d), (2.0 / h, basis.der1d)))
+        lam, V = la.eigh(K[inner, inner], M[inner, inner])
+        full = np.zeros((M.shape[0], lam.size))
+        full[inner] = V
+        return M, K, lam, full
+
+    x = axis(mesh.nx, mesh.hx)
+    return x, (x if (mesh.ny, mesh.hy) == (mesh.nx, mesh.hx) else axis(mesh.ny, mesh.hy))
 
 
 def tensor_mass_inverse(mesh: MeshQ, basis: BasisQp, weight, pinned: bool):
@@ -406,36 +402,39 @@ def tensor_mass_inverse(mesh: MeshQ, basis: BasisQp, weight, pinned: bool):
 def eliminate_dirichlet(A, boundary: np.ndarray, n: int, diag=1.0) -> sp.csr_matrix:
     """Strong Dirichlet elimination of the DOFs `boundary` of an n-sized space.
 
-    Rows and/or columns (whichever dimensions have length n) at boundary are
-    zeroed by masking the stored entries; square n x n matrices additionally
-    receive `diag` on the constrained diagonal. Returns a new canonical CSR
-    matrix without stored zeros.
+    The boundary rows of A are zeroed by masking the stored entries. With
+    diag None, A is a coupling whose rows alone lie in the space; otherwise
+    A is n x n, also loses its boundary columns, and receives `diag` on the
+    constrained diagonal. Returns a new canonical CSR matrix without stored
+    zeros.
     """
-    if n not in A.shape:
-        raise ValueError("matrix has no dimension of the constrained space")
+    if A.shape[0] != n or (diag is not None and A.shape[1] != n):
+        raise ValueError(f"matrix of shape {A.shape} does not act on the constrained space")
     A = A.tocsr(copy=True)
     A.sum_duplicates()
     pinned = np.zeros(n, dtype=bool)
     pinned[boundary] = True
-    hit = np.zeros(A.nnz, dtype=bool)
-    if A.shape[0] == n:
-        hit |= np.repeat(pinned, np.diff(A.indptr))
-    if A.shape[1] == n:
+    hit = np.repeat(pinned, np.diff(A.indptr))
+    if diag is not None:
         hit |= pinned[A.indices]
     A.data[hit] = 0
-    if A.shape == (n, n) and diag != 0:
+    if diag:
         A[boundary, boundary] = diag
     A.eliminate_zeros()
     return A
 
 
-def constrain_operators(ops: Operators) -> Operators:
+def constrain_operators(ops: Operators, live_phi: np.ndarray | None = None) -> Operators:
     """Apply strong Dirichlet elimination to every operator the stepper uses.
 
     M_u and K keep a unit diagonal on the boundary (solvability, SPD); the
-    damping masses and couplings are plainly zeroed. G is untouched: its
-    u-columns multiply a state whose boundary entries are pinned to zero.
+    damping masses and the rows of the couplings B_eta are plainly zeroed.
+    G is untouched: its u-columns multiply a state whose boundary entries
+    are pinned to zero. With live_phi, B_eta keep only those phi columns,
+    taken before the elimination so that it never copies the others.
     """
+    if live_phi is not None:
+        ops = replace(ops, B_x=ops.B_x[:, live_phi], B_y=ops.B_y[:, live_phi])
     if ops.dirichlet is None:
         return ops
     return replace(
@@ -444,8 +443,8 @@ def constrain_operators(ops: Operators) -> Operators:
         K=eliminate_dirichlet(ops.K, ops.dirichlet, ops.n_u, diag=1.0),
         M_d1=eliminate_dirichlet(ops.M_d1, ops.dirichlet, ops.n_u, diag=0.0),
         M_d0=eliminate_dirichlet(ops.M_d0, ops.dirichlet, ops.n_u, diag=0.0),
-        B_x=eliminate_dirichlet(ops.B_x, ops.dirichlet, ops.n_u),
-        B_y=eliminate_dirichlet(ops.B_y, ops.dirichlet, ops.n_u),
+        B_x=eliminate_dirichlet(ops.B_x, ops.dirichlet, ops.n_u, diag=None),
+        B_y=eliminate_dirichlet(ops.B_y, ops.dirichlet, ops.n_u, diag=None),
     )
 
 

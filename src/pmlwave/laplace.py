@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import (_coef_at_quad, assemble_load, element_blocks, lattice_eigenbasis,
+from .assembly import (_coef_at_quad, assemble_load, element_blocks, lattice_eigenbases,
                        reference_mass)
 from .errors import ConfigError, NumericalError
 from .mesh import (DofMap, MaterialField, MeshQ, build_cartesian_mesh, constant_material,
@@ -170,8 +170,7 @@ def assemble_reduced(
 
     dof_u = dof_map(mesh, basis.p, "continuous", gll=basis.gll_nodes)
     inner = slice(1, -1)  # the Dirichlet nodes are eliminated
-    M_x, K_x1, lam_x, V_x = lattice_eigenbasis(basis, mesh.nx, mesh.hx, inner)
-    M_y, K_y1, lam_y, V_y = lattice_eigenbasis(basis, mesh.ny, mesh.hy, inner)
+    (M_x, K_x1, lam_x, V_x), (M_y, K_y1, lam_y, V_y) = lattice_eigenbases(basis, mesh, inner)
     Sx, Sy = stretch(s, d_x), stretch(s, d_y)
     divisor = s * s * Sx * Sy / kappa + ((Sy / Sx) * lam_x + (Sx / Sy) * lam_y[:, None]) / rho
     return ComplexSystem(s=s, d_x=d_x, d_y=d_y, mesh=mesh, basis=basis, kappa=kappa, rho=rho,

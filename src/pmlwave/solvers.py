@@ -17,7 +17,7 @@ def pcg(A, b, precond, rtol: float = 1e-12, maxiter: int = 2000):
     precond must return a new array and approximate A^{-1} by an SPD map.
     Starts from x = 0, so the first iterate is alpha * p, and stops when the
     recursive residual satisfies ||r|| <= rtol * ||b||. Returns (x, achieved
-    relative residual).
+    relative residual); NumericalError as soon as r.z or ||r|| is not finite.
     """
     b = np.asarray(b, dtype=float)
     nb = np.linalg.norm(b)
@@ -34,7 +34,7 @@ def pcg(A, b, precond, rtol: float = 1e-12, maxiter: int = 2000):
     rz = float(r @ z)
     tol = rtol * nb
     res = nb
-    for _ in range(maxiter):
+    for it in range(1, maxiter + 1):
         Ap = A @ p
         alpha = rz / float(p @ Ap)
         if x is None:
@@ -47,6 +47,8 @@ def pcg(A, b, precond, rtol: float = 1e-12, maxiter: int = 2000):
             return x, res / nb
         z = precond(r)
         rz_new = float(r @ z)
+        if not (np.isfinite(res) and np.isfinite(rz_new)):
+            raise NumericalError(f"CG residual became non-finite at iteration {it}")
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise NumericalError(

@@ -36,7 +36,7 @@ from .assembly import (
     Operators,
     assemble_forcing_spatial,
     constrain_operators,
-    lattice_eigenbasis,
+    lattice_eigenbases,
     lattice_matrix_1d,
     tensor_mass_inverse,
 )
@@ -126,7 +126,7 @@ class StepOperators:
 
 def _step_operators(ops: Operators, live_phi: np.ndarray) -> StepOperators:
     """Constrain the operators once and stack them into F on the live phi DOFs."""
-    c = constrain_operators(ops)
+    c = constrain_operators(ops, live_phi)
     A_u, A_v = c.K + c.M_d0, c.M_d1
     if c.R_v is not None:
         A_u, A_v = A_u + c.R_theta, A_v + c.R_v
@@ -134,13 +134,13 @@ def _step_operators(ops: Operators, live_phi: np.ndarray) -> StepOperators:
     # Explicit empty blocks keep every block CSR, so the stacking joins the
     # compressed arrays directly instead of going through COO triplets.
     Z_v, Z_phi = sp.csr_matrix((m, n)), sp.csr_matrix((m, m))
-    u_row = [A_u, A_v, c.B_x[:, live_phi], c.B_y[:, live_phi]]
+    u_row = [A_u, A_v, c.B_x, c.B_y]
     phi_rows = [[c.G_x[live_phi], Z_v, -c.M_phid_x[live_phi][:, live_phi], Z_phi],
                 [c.G_y[live_phi], Z_v, Z_phi, -c.M_phid_y[live_phi][:, live_phi]]]
     M_u = c.M_u
     # Every block is now a new matrix. Drop the full-size constrained copies
     # before stacking, and each group of blocks once it is stacked: set-up
-    # peaks here, and at Q3, h = 0.15 those copies alone are about 50 MB.
+    # peaks here, and at Q3, h = 0.15 those copies alone are about 27 MB.
     del c, A_u, A_v
     P = sp.bmat(phi_rows, format="csr")
     del phi_rows
@@ -349,8 +349,7 @@ def modal_trajectory(mesh: MeshQ, basis: BasisQp, dof_u: DofMap, material: Mater
     _refuse_unstable(dt, mesh, basis, material, r)
     kappa, rho = constant_material(mesh, basis, material)
     inner = slice(1, -1) if r == -1.0 else slice(None)
-    _, _, lam_x, V_x = lattice_eigenbasis(basis, mesh.nx, mesh.hx, inner)
-    _, _, lam_y, V_y = lattice_eigenbasis(basis, mesh.ny, mesh.hy, inner)
+    (_, _, lam_x, V_x), (_, _, lam_y, V_y) = lattice_eigenbases(basis, mesh, inner)
     n_x = V_x.shape[0]
     rows, cols = np.unique(nodes // n_x), np.unique(nodes % n_x)
     if not np.array_equal(nodes, (rows[:, None] * n_x + cols).ravel()):

@@ -206,6 +206,11 @@ def test_eliminate_dirichlet_pins_boundary_rows_and_columns():
     assert np.all(K[bnd][:, inner] == 0.0)
     assert np.all(K[inner][:, bnd] == 0.0)
 
+    # diag None constrains the rows alone, also of a coupling that happens to be square.
+    B = eliminate_dirichlet(ops.K, bnd, ops.n_u, diag=None).toarray()
+    assert np.all(B[bnd] == 0.0)
+    assert np.array_equal(B[inner], ops.K.toarray()[inner])
+
 
 def test_assembly_is_deterministic():
     mesh = build_cartesian_mesh((0.0, 1.0, 0.0, 1.0), 0.25)
@@ -384,6 +389,24 @@ def test_element_kernel_matches_four_operand_einsum(p):
     cells = ops.dof_phi.cell_dofs
     residual = np.einsum("emn,en->em", Msd, gp[cells]) - g[cells] @ M0.T
     assert np.max(np.abs(residual)) <= 1e-14 * np.max(np.abs(g[cells] @ M0.T))
+
+
+@pytest.mark.parametrize("inner", [0.5, 0.6], ids=["aligned", "straddling"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_layer_operators_keep_the_pattern_of_the_all_element_reference(p, inner):
+    # Assembly skips the elements and edges where a coefficient vanishes; the reference
+    # sums every one. With the layer edge at 0.6 it cuts elements, whose coefficients
+    # then vanish at some quadrature points only.
+    mesh = build_cartesian_mesh((0.0, 1.0, 0.0, 1.0), 0.25)
+    pml = PmlConfig(delta=1.0 - inner, x_inner=inner, y_inner=inner, d0_x=3.0, d0_y=2.0)
+    ops = assemble_all(mesh, tensor_basis_tables(p), wavy_material(), pml, r=0.5)
+    ref = reference_operators(ops)
+    ref["R_theta"] = reference_boundary(ops)[1]
+    for name in ("M_d1", "M_d0", "G_x", "G_y", "M_phid_x", "M_phid_y", "R_theta"):
+        A = getattr(ops, name)
+        assert np.array_equal(A.indptr, ref[name].indptr), name
+        assert np.array_equal(A.indices, ref[name].indices), name
+        assert relative_error(A, ref[name]) <= 1e-14, name
 
 
 @pytest.mark.parametrize("case", ["damped_dirichlet", "layered_impedance"])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pmlwave.assembly import assemble_all, eliminate_dirichlet, tensor_mass_inverse
 from pmlwave.errors import NumericalError
@@ -108,6 +109,14 @@ def test_non_separable_weight_still_converges():
 
     with pytest.raises(NumericalError, match=r"achieved relative residual \d"):
         pcg(M, b, P, rtol=1e-12, maxiter=1)
+
+
+def test_pcg_stops_at_the_first_non_finite_residual():
+    # A p overflows in the first iteration, so alpha = 0 and r - alpha A p is NaN.
+    A = sp.diags([1e160, 1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="non-finite at iteration 1"):
+            pcg(A, np.full(2, 1e150), np.copy)
 
 
 def test_pcg_refuses_non_finite_rhs_and_returns_zero_for_zero_rhs():

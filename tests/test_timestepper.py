@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sp
 
 import pmlwave.timestepper as timestepper
 from pmlwave.assembly import (GaussianPulse, assemble_all, assemble_forcing_spatial,
@@ -136,6 +137,26 @@ def test_phi_lives_only_on_the_layer():
     assert WaveStepper(small_ops(damped=False)).n_state == 2 * ops.n_u
 
 
+@STEPPER_CASES
+def test_step_operators_match_the_eliminated_full_couplings(damped, r):
+    # The stepper slices the live phi columns of B_eta before the Dirichlet elimination;
+    # eliminating the full couplings first and slicing afterwards gives the same F.
+    ops = small_ops(damped=damped, r=r)
+    X, Y = physical_quad_points(ops.mesh, ops.basis)
+    in_layer = np.any((damping("x", X, PML) != 0.0) | (damping("y", Y, PML) != 0.0), axis=1)
+    live = ops.dof_phi.cell_dofs[damped & in_layer].ravel()
+    c = constrain_operators(ops)
+    A_u, A_v = c.K + c.M_d0, c.M_d1
+    if c.R_v is not None:
+        A_u, A_v = A_u + c.R_theta, A_v + c.R_v
+    F = sp.bmat([[-A_u, -A_v, -c.B_x[:, live], -c.B_y[:, live]],
+                 [c.G_x[live], None, -c.M_phid_x[live][:, live], None],
+                 [c.G_y[live], None, None, -c.M_phid_y[live][:, live]]], format="csr")
+    got = WaveStepper(ops).cops.F
+    assert got.nnz == F.nnz
+    assert np.array_equal(got.toarray(), F.toarray())
+
+
 def test_zero_state_stays_zero_without_forcing():
     ops = small_ops()
     res = run(ops, None, 0.01, 0.05)
@@ -252,6 +273,28 @@ def test_impedance_tends_to_neumann_as_r_tends_to_one():
     near, neumann = finals
     assert near.shape == neumann.shape
     assert 0.0 < np.linalg.norm(near - neumann) <= 1e-4 * np.linalg.norm(neumann)
+
+
+def test_impedance_tends_to_dirichlet_as_r_tends_to_minus_one():
+    # R_v = (1 - r)/(1 + r) c grows like 2c/eps at r = -1 + eps and pins the boundary
+    # to first order. Below eps = 1e-2 the stiff R_v needs a smaller dt than 2e-4.
+    def final_u(r):
+        ops = small_ops(r=r)
+        return run(ops, PULSE, 2e-4, 0.2, initial=smooth_state(ops)).final_state.u
+
+    dirichlet = final_u(-1.0)
+    near = [np.linalg.norm(final_u(-1.0 + eps) - dirichlet) / np.linalg.norm(dirichlet)
+            for eps in (1e-1, 1e-2)]
+    assert near[0] >= 8.0 * near[1]
+    assert near[1] <= 1e-2
+
+
+def test_stiff_impedance_run_stops_at_cg_first_non_finite_residual():
+    # R_v ~ 2c/eps at r = -1 + 1e-3 is stiffer than stability_limit covers at this dt.
+    ops = small_ops(r=-1.0 + 1e-3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="CG residual became non-finite at iteration"):
+            run(ops, PULSE, 2e-4, 0.5, initial=smooth_state(ops))
 
 
 def test_run_leaves_initial_unchanged():
