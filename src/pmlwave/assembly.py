@@ -34,12 +34,6 @@ from .mesh import DofMap, MaterialField, MeshQ, dof_map, physical_quad_points
 from .pml import PmlConfig, damping, gamma_2d, upsilon_2d
 from .quadrature import BasisQp
 
-# Local DOFs on each element edge, in edge order bottom/right/top/left.
-def _edge_locals(p: int):
-    i = np.arange(p + 1)
-    return [i, i * (p + 1) + p, p * (p + 1) + i, i * (p + 1)]
-
-
 @dataclass(frozen=True)
 class GaussianPulse:
     """Separable forcing: Gaussian bump in space times a Gaussian envelope in time."""
@@ -66,10 +60,11 @@ class Operators:
     u-space (continuous) matrices: M_u (1/kappa mass), M_d1 ((dx+dy)/kappa),
     M_d0 (dx*dy/kappa), K (1/rho stiffness), and for -1 < r < 1 the boundary
     matrices R_v (on du/dt) and R_theta (on u). Couplings: B_eta maps the
-    discontinuous space into u-test rows, G_eta the reverse with the
-    (dy-dx, dx-dy) weights. The discontinuous mass is one dense local block
-    shared by all elements (uniform mesh) scaled by the Jacobian jac;
-    M_phid_eta are the damping-weighted block-diagonal masses.
+    discontinuous space into u-test rows (the CSC view of the unit-weight G_eta
+    transposed), G_eta the reverse with the (dy-dx, dx-dy) weights. The
+    discontinuous mass is one dense local block shared by all elements
+    (uniform mesh) scaled by the Jacobian jac; M_phid_eta are the
+    damping-weighted block-diagonal masses.
     """
 
     mesh: MeshQ
@@ -83,8 +78,8 @@ class Operators:
     M_d1: sp.csr_matrix
     M_d0: sp.csr_matrix
     K: sp.csr_matrix
-    B_x: sp.csr_matrix
-    B_y: sp.csr_matrix
+    B_x: sp.csc_matrix
+    B_y: sp.csc_matrix
     G_x: sp.csr_matrix
     G_y: sp.csr_matrix
     M_phi_local: np.ndarray
@@ -108,23 +103,58 @@ class Operators:
         return self.pml_cfg is not None and self.pml_cfg.enabled
 
 
-def _scatter(rows_cell, cols_cell, coef, weights, terms, shape) -> sp.csr_matrix:
-    """Assemble the element_blocks(coef, weights, terms) of every element into CSR.
+def _neighbours(n_el: int, p: int):
+    """First neighbour and neighbour count of each node of the 1D lattice of n_el Q_p elements."""
+    g = np.arange(n_el * p + 1)
+    lo = p * np.maximum((g - 1) // p, 0)
+    return lo, p * np.minimum(g // p + 1, n_el) - lo + 1
 
-    Elements whose coefficient row is all zero add nothing and are dropped
-    before the GEMM; stored zeros are eliminated. The same inputs give the
-    same matrix, and dropping elements leaves its sparsity pattern unchanged,
-    but not its last bits: scipy sums duplicates after an unstable sort.
+
+def _lattice_csr(cells, coef, weights, terms, nx: int, ny: int, p: int) -> sp.csr_matrix:
+    """element_blocks(coef, weights, terms) at the (y, x)-numbered nodes cells[e], in CSR.
+
+    Row (iy, ix) of the lattice of nx x ny elements (ny = 0: one node row) holds the columns
+    (jy, jx) of the neighbour ranges of iy and ix, so positions are arithmetic. One bincount
+    sums, in element order, the blocks of the elements whose coefficient is not all zero;
+    entries left zero are eliminated.
     """
-    coef = np.asarray(coef)
+    def node_row(w):  # columns of a row of nodes whose y ranges are 0..w-1; lo_y shifts them
+        ix = np.repeat(np.arange(npx), w * w_x)
+        start = np.repeat(np.cumsum(w * w_x) - w * w_x, w * w_x)
+        jy, jx = np.divmod(np.arange(ix.size) - start, w_x[ix])
+        return jy * npx + lo_x[ix] + jx
+
+    (lo_x, w_x), (lo_y, w_y) = _neighbours(nx, p), _neighbours(ny, p)
+    npx = lo_x.size
+    indptr = np.concatenate(([0], np.cumsum(np.outer(w_y, w_x))))
+    node_rows = {w: node_row(w) for w in set(w_y.tolist())}
+    indices = np.concatenate([node_rows[w] for w in w_y.tolist()])
+    indices += np.repeat(lo_y * npx, w_y * w_x.sum())
+
+    live = np.any(coef != 0, axis=1)
+    iy, ix = np.divmod(cells[live], npx)
+    jy, jx = iy[:, None, :], ix[:, None, :]
+    pos = jy * w_x[ix][:, :, None]  # then in place: fresh temporaries cost page faults
+    pos += (indptr[iy * npx + ix] - lo_y[iy] * w_x[ix] - lo_x[ix])[:, :, None]
+    pos += jx
+    data = np.bincount(pos.ravel(), element_blocks(coef[live], weights, terms).ravel(), indptr[-1])
+    A = sp.csr_matrix((data, indices, indptr), shape=(npx * lo_y.size,) * 2)
+    A.eliminate_zeros()
+    return A
+
+
+def _element_rows_csr(rows: DofMap, cols: DofMap, coef, weights, terms) -> sp.csr_matrix:
+    """element_blocks(coef, weights, terms) in CSR, rows in the discontinuous space.
+
+    Rows go element by element, so the blocks are the CSR rows at the ascending columns
+    cols.cell_dofs[e]; all-zero coefficients leave rows empty. Stored zeros are eliminated.
+    """
     live = np.any(coef != 0, axis=1)
     blocks = element_blocks(coef[live], weights, terms)
-    ne, m, n = blocks.shape
-    rows = np.broadcast_to(rows_cell[live][:, :, None], (ne, m, n)).ravel()
-    cols = np.broadcast_to(cols_cell[live][:, None, :], (ne, m, n)).ravel()
-    A = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=shape).tocsr()
-    A.sum_duplicates()
-    A.sort_indices()
+    m, n = blocks.shape[1:]
+    indptr = np.concatenate(([0], np.cumsum(np.repeat(live * n, m))))
+    indices = np.broadcast_to(cols.cell_dofs[live][:, None, :], blocks.shape).ravel()
+    A = sp.csr_matrix((blocks.ravel(), indices, indptr), shape=(rows.n_dofs, cols.n_dofs))
     A.eliminate_zeros()
     return A
 
@@ -166,10 +196,10 @@ def assemble_weighted_mass(mesh: MeshQ, basis: BasisQp, dofmap: DofMap, weight) 
     weight is a callable (x, y) or its values at the quadrature points.
     """
     coef = _coef_at_quad(weight, mesh, basis)
-    J = mesh.hx * mesh.hy / 4.0
-    n = dofmap.n_dofs
-    return _scatter(dofmap.cell_dofs, dofmap.cell_dofs, coef, basis.w2d,
-                    [(J, basis.val2d, basis.val2d)], (n, n))
+    terms = [(mesh.hx * mesh.hy / 4.0, basis.val2d, basis.val2d)]
+    if dofmap.kind == "discontinuous":
+        return _element_rows_csr(dofmap, dofmap, coef, basis.w2d, terms)
+    return _lattice_csr(dofmap.cell_dofs, coef, basis.w2d, terms, mesh.nx, mesh.ny, basis.p)
 
 
 def assemble_stiffness(
@@ -179,7 +209,7 @@ def assemble_stiffness(
     weight,
     direction: str = "both",
 ) -> sp.csr_matrix:
-    """Stiffness (weight * grad u, grad v)_h, or a single directional part of it.
+    """Stiffness (weight * grad u, grad v)_h on the continuous space, or one directional part.
 
     weight is taken as by assemble_weighted_mass.
     """
@@ -192,8 +222,7 @@ def assemble_stiffness(
         terms.append((mesh.hy / mesh.hx, basis.dxi2d, basis.dxi2d))
     if direction in ("both", "y"):
         terms.append((mesh.hx / mesh.hy, basis.deta2d, basis.deta2d))
-    n = dofmap.n_dofs
-    return _scatter(dofmap.cell_dofs, dofmap.cell_dofs, coef, basis.w2d, terms, (n, n))
+    return _lattice_csr(dofmap.cell_dofs, coef, basis.w2d, terms, mesh.nx, mesh.ny, basis.p)
 
 
 def _assemble_coupling_g(mesh, basis, dof_u, dof_phi, coef, axis: str) -> sp.csr_matrix:
@@ -202,8 +231,7 @@ def _assemble_coupling_g(mesh, basis, dof_u, dof_phi, coef, axis: str) -> sp.csr
         dcont, scale = basis.dxi2d, mesh.hy / 2.0
     else:
         dcont, scale = basis.deta2d, mesh.hx / 2.0
-    return _scatter(dof_phi.cell_dofs, dof_u.cell_dofs, coef, basis.w2d,
-                    [(scale, basis.val2d, dcont)], (dof_phi.n_dofs, dof_u.n_dofs))
+    return _element_rows_csr(dof_phi, dof_u, coef, basis.w2d, [(scale, basis.val2d, dcont)])
 
 
 def _assemble_boundary(mesh, basis, dof_u, material, pml_cfg, r):
@@ -225,10 +253,11 @@ def _assemble_boundary(mesh, basis, dof_u, material, pml_cfg, r):
     dval = 0.0
     if pml_cfg is not None:
         dval = np.where(horizontal, damping("x", xs, pml_cfg), damping("y", ys, pml_cfg))
-    dofs = dof_u.cell_dofs[elem[:, None], np.array(_edge_locals(basis.p))[edge]]
-    n = dof_u.n_dofs
-    return tuple(_scatter(dofs, dofs, coef, basis.quad.weights,
-                          [(1.0, basis.val1d, basis.val1d)], (n, n))
+    i, p = np.arange(basis.p + 1), basis.p  # the local DOFs of each edge, bottom/right/top/left
+    dofs = dof_u.cell_dofs[elem[:, None], np.array([i, i * (p + 1) + p, p * (p + 1) + i,
+                                                    i * (p + 1)])[edge]]
+    return tuple(_lattice_csr(dofs, coef, basis.quad.weights, [(1.0, basis.val1d, basis.val1d)],
+                              mesh.nx, mesh.ny, p)
                  for coef in (coef_v, coef_v * dval))
 
 
@@ -267,13 +296,13 @@ def assemble_all(
     M_d0 = mass(dof_u, upsilon_2d(dx, dy) / kap)
     K = assemble_stiffness(mesh, basis, dof_u, 1.0 / rho)
 
-    # B_eta[v-row, phi-col] = (phi, d v / d eta)_h is the unit-weight G_eta transposed.
+    # B_eta[v-row, phi-col] = (phi, d v / d eta)_h is the unit-weight G_eta's .T view.
     # Without damping the auxiliary fields stay at zero and never feed back; weight 0
     # for B_eta and gamma = 0 for G_eta leave all four couplings empty, which makes
     # that structural.
     unit = np.full(X.shape, 1.0 if pml_cfg is not None and pml_cfg.enabled else 0.0)
-    B_x = _assemble_coupling_g(mesh, basis, dof_u, dof_phi, unit, "x").T.tocsr()
-    B_y = _assemble_coupling_g(mesh, basis, dof_u, dof_phi, unit, "y").T.tocsr()
+    B_x = _assemble_coupling_g(mesh, basis, dof_u, dof_phi, unit, "x").T
+    B_y = _assemble_coupling_g(mesh, basis, dof_u, dof_phi, unit, "y").T
     G_x = _assemble_coupling_g(mesh, basis, dof_u, dof_phi, gam_x / rho, "x")
     G_y = _assemble_coupling_g(mesh, basis, dof_u, dof_phi, gam_y / rho, "y")
 
@@ -311,8 +340,10 @@ def assemble_load(mesh: MeshQ, basis: BasisQp, dofmap: DofMap, coef) -> np.ndarr
     coef = _coef_at_quad(coef, mesh, basis)
     J = mesh.hx * mesh.hy / 4.0
     local = element_blocks(coef, basis.w2d, [(J, basis.val2d, np.ones((1, basis.n_loc)))])
-    out = np.zeros(dofmap.n_dofs, dtype=local.dtype)
-    np.add.at(out, dofmap.cell_dofs.ravel(), local.ravel())
+    dofs, n = dofmap.cell_dofs.ravel(), dofmap.n_dofs
+    out = np.bincount(dofs, local.real.ravel(), n).astype(local.dtype, copy=False)
+    if np.iscomplexobj(local):  # bincount sums in input order, but real weights only
+        out.imag = np.bincount(dofs, local.imag.ravel(), n)
     return out
 
 
@@ -331,11 +362,9 @@ def lattice_matrix_1d(basis: BasisQp, coef_1d, scale: float, table) -> np.ndarra
     basis.val1d) and the stiffness (1/half_h, basis.der1d); with unit weight, in the
     (y, x) order of dof_map, M_u = M_y (x) M_x / kappa and K = (M_y (x) K_x + K_y (x) M_x) / rho.
     """
-    n_el, p = coef_1d.shape[0], basis.p
-    cells = np.arange(n_el)[:, None] * p + np.arange(p + 1)
-    n = n_el * p + 1
-    return _scatter(cells, cells, coef_1d, basis.quad.weights, [(scale, table, table)],
-                    (n, n)).toarray()
+    cells = np.arange(len(coef_1d))[:, None] * basis.p + np.arange(basis.p + 1)
+    return _lattice_csr(cells, coef_1d, basis.quad.weights, [(scale, table, table)],
+                        len(coef_1d), 0, basis.p).toarray()
 
 
 def lattice_eigenbases(basis: BasisQp, mesh: MeshQ, inner: slice):
@@ -430,22 +459,16 @@ def constrain_operators(ops: Operators, live_phi: np.ndarray | None = None) -> O
     M_u and K keep a unit diagonal on the boundary (solvability, SPD); the
     damping masses and the rows of the couplings B_eta are plainly zeroed.
     G is untouched: its u-columns multiply a state whose boundary entries
-    are pinned to zero. With live_phi, B_eta keep only those phi columns,
-    taken before the elimination so that it never copies the others.
+    are pinned to zero. With live_phi, B_eta keep only those phi columns, sliced
+    from the CSC view into CSR before the elimination, which never sees the others.
     """
     if live_phi is not None:
-        ops = replace(ops, B_x=ops.B_x[:, live_phi], B_y=ops.B_y[:, live_phi])
+        ops = replace(ops, B_x=ops.B_x[:, live_phi].tocsr(), B_y=ops.B_y[:, live_phi].tocsr())
     if ops.dirichlet is None:
         return ops
-    return replace(
-        ops,
-        M_u=eliminate_dirichlet(ops.M_u, ops.dirichlet, ops.n_u, diag=1.0),
-        K=eliminate_dirichlet(ops.K, ops.dirichlet, ops.n_u, diag=1.0),
-        M_d1=eliminate_dirichlet(ops.M_d1, ops.dirichlet, ops.n_u, diag=0.0),
-        M_d0=eliminate_dirichlet(ops.M_d0, ops.dirichlet, ops.n_u, diag=0.0),
-        B_x=eliminate_dirichlet(ops.B_x, ops.dirichlet, ops.n_u, diag=None),
-        B_y=eliminate_dirichlet(ops.B_y, ops.dirichlet, ops.n_u, diag=None),
-    )
+    diags = {"M_u": 1.0, "K": 1.0, "M_d1": 0.0, "M_d0": 0.0, "B_x": None, "B_y": None}
+    return replace(ops, **{name: eliminate_dirichlet(getattr(ops, name), ops.dirichlet, ops.n_u,
+                                                     diag=diag) for name, diag in diags.items()})
 
 
 def dump_matrices(ops: Operators, out_dir) -> list:

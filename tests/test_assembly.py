@@ -6,9 +6,10 @@ from numpy.polynomial import legendre as npleg
 
 import scipy.sparse as sp
 
-from pmlwave.assembly import (GaussianPulse, assemble_all, assemble_forcing_spatial,
-                              assemble_load, assemble_stiffness, assemble_weighted_mass,
-                              eliminate_dirichlet, lattice_matrix_1d)
+from pmlwave.assembly import (GaussianPulse, _assemble_coupling_g, _neighbours, assemble_all,
+                              assemble_forcing_spatial, assemble_load, assemble_stiffness,
+                              assemble_weighted_mass, eliminate_dirichlet, element_blocks,
+                              lattice_matrix_1d, sparse_operators)
 from pmlwave.errors import NumericalError
 from pmlwave.laplace import projection_pi_p
 from pmlwave.mesh import (MaterialField, build_cartesian_mesh, dof_map,
@@ -106,6 +107,19 @@ def test_coupling_adjointness():
     for axis, B in (("x", ops.B_x), ("y", ops.B_y)):
         C = _assemble_coupling_g(mesh, basis, dof_u, dof_phi, ones, axis)
         assert abs(B.T - C).max() <= 1e-13
+
+
+def test_b_eta_is_the_transpose_view_of_the_unit_coupling():
+    # Exactly: B_eta.T gives back the unit-weight coupling's own CSR arrays.
+    mesh = build_cartesian_mesh((0.0, 1.0, 0.0, 1.5), 0.5)
+    basis = tensor_basis_tables(2)
+    ops = assemble_all(mesh, basis, wavy_material(), interior_pml())
+    ones = np.ones((mesh.n_elem, basis.quad.n ** 2))
+    for axis, B in (("x", ops.B_x), ("y", ops.B_y)):
+        assert B.format == "csc" and B.T.format == "csr"
+        C = _assemble_coupling_g(mesh, basis, ops.dof_u, ops.dof_phi, ones, axis)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(B.T, part), getattr(C, part)), (axis, part)
 
 
 def test_mass_row_sum_is_weighted_area():
@@ -257,10 +271,17 @@ def reference_scatter(rows_cell, cols_cell, blocks, shape):
     return A
 
 
-def reference_load(ops, coef):
-    """(coef, v)_h on the continuous space: einsum per element, np.add.at scatter."""
+# The package's GEMM kernel in einsum_blocks' signature: with it, a reference checks
+# the scatter alone, on the very blocks the package sums.
+def gemm_blocks(w, coef, left, right, scale):
+    return element_blocks(coef, w, [(scale, left, right)])
+
+
+def reference_load(ops, coef, blocks=einsum_blocks):
+    """(coef, v)_h on the continuous space: blocks per element, np.add.at scatter."""
     mesh, basis = ops.mesh, ops.basis
-    local = np.einsum("q,eq,mq->em", basis.w2d, coef, basis.val2d) * (mesh.hx * mesh.hy / 4.0)
+    local = blocks(basis.w2d, coef, basis.val2d, np.ones((1, basis.n_loc)),
+                   mesh.hx * mesh.hy / 4.0)
     out = np.zeros(ops.n_u, dtype=local.dtype)
     np.add.at(out, ops.dof_u.cell_dofs.ravel(), local.ravel())
     return out
@@ -302,32 +323,35 @@ def reference_operators(ops):
     }
 
 
-def reference_boundary(ops):
+def reference_boundary(ops, blocks=einsum_blocks):
     """R_v and R_theta by the per-edge loop the batched assembly replaced."""
     mesh, basis = ops.mesh, ops.basis
     fac = (1.0 - ops.r) / (1.0 + ops.r)
     q, w, p = basis.quad.nodes, basis.quad.weights, basis.p
     i = np.arange(p + 1)
     locs = [i, i * (p + 1) + p, p * (p + 1) + i, i * (p + 1)]
-    dofs, blk_v, blk_t = [], [], []
+    dofs, coef_v, coef_t = [], [], []
+
+    def edge_damping(axis, coord):  # as assemble_all: no layer, no damping
+        return 0.0 if ops.pml_cfg is None else damping(axis, coord, ops.pml_cfg)
+
     for e, edge, _, _ in mesh.boundary_edges:
         ox, oy = mesh.elem_origin[e]
         if edge in (0, 2):
             xs = ox + (q + 1.0) * (mesh.hx / 2.0)
             ys = np.full_like(xs, oy if edge == 0 else oy + mesh.hy)
-            ds, dval = mesh.hx / 2.0, damping("x", xs, ops.pml_cfg)
+            ds, dval = mesh.hx / 2.0, edge_damping("x", xs)
         else:
             ys = oy + (q + 1.0) * (mesh.hy / 2.0)
             xs = np.full_like(ys, ox + mesh.hx if edge == 1 else ox)
-            ds, dval = mesh.hy / 2.0, damping("y", ys, ops.pml_cfg)
-        c = ops.material.wave_speed(xs, ys)
-        base = basis.val1d
-        blk_v.append(np.einsum("a,a,ma,na->mn", w, fac * c, base, base) * ds)
-        blk_t.append(np.einsum("a,a,ma,na->mn", w, fac * c * dval, base, base) * ds)
+            ds, dval = mesh.hy / 2.0, edge_damping("y", ys)
+        coef_v.append(fac * ops.material.wave_speed(xs, ys) * ds)
+        coef_t.append(coef_v[-1] * dval)
         dofs.append(ops.dof_u.cell_dofs[e, locs[edge]])
     dofs, n = np.array(dofs), ops.n_u
-    return (reference_scatter(dofs, dofs, np.array(blk_v), (n, n)),
-            reference_scatter(dofs, dofs, np.array(blk_t), (n, n)))
+    return tuple(reference_scatter(dofs, dofs, blocks(w, np.array(coef), basis.val1d,
+                                                      basis.val1d, 1.0), (n, n))
+                 for coef in (coef_v, coef_t))
 
 
 def relative_error(A, R):
@@ -407,6 +431,132 @@ def test_layer_operators_keep_the_pattern_of_the_all_element_reference(p, inner)
         assert np.array_equal(A.indptr, ref[name].indptr), name
         assert np.array_equal(A.indices, ref[name].indices), name
         assert relative_error(A, ref[name]) <= 1e-14, name
+
+
+def scatter_reference(ops):
+    """Every operator of ops from the package's blocks of all elements and edges, summed by
+    reference_scatter. The coefficients are formed as assemble_all forms them, so the
+    blocks are the package's to the bit, and only the CSR builders are under test.
+    """
+    mesh, basis, mat, pml = ops.mesh, ops.basis, ops.material, ops.pml_cfg
+    X, Y = physical_quad_points(mesh, basis)
+    kap, rho = (np.broadcast_to(f(X, Y), X.shape) for f in (mat.kappa, mat.rho))
+    dx, dy = ((damping("x", X, pml), damping("y", Y, pml)) if pml is not None
+              else (np.zeros_like(X), np.zeros_like(X)))
+    gam_x, gam_y = gamma_2d(dx, dy)
+    unit = np.full(X.shape, 1.0 if ops.has_damping else 0.0)
+    J, du, dphi = mesh.hx * mesh.hy / 4.0, ops.dof_u, ops.dof_phi
+    mass = [(J, basis.val2d, basis.val2d)]
+    grad_x, grad_y = [(mesh.hy / 2.0, basis.val2d, basis.dxi2d)], [(mesh.hx / 2.0, basis.val2d,
+                                                                     basis.deta2d)]
+    stiff = [(mesh.hy / mesh.hx, basis.dxi2d, basis.dxi2d),
+             (mesh.hx / mesh.hy, basis.deta2d, basis.deta2d)]
+
+    def op(rows, cols, coef, terms):
+        return reference_scatter(rows.cell_dofs, cols.cell_dofs,
+                                 element_blocks(coef, basis.w2d, terms), (rows.n_dofs, cols.n_dofs))
+
+    ref = {"M_u": op(du, du, 1.0 / kap, mass), "M_d1": op(du, du, (dx + dy) / kap, mass),
+           "M_d0": op(du, du, upsilon_2d(dx, dy) / kap, mass), "K": op(du, du, 1.0 / rho, stiff),
+           "B_x": op(dphi, du, unit, grad_x).T.tocsr(), "B_y": op(dphi, du, unit, grad_y).T.tocsr(),
+           "G_x": op(dphi, du, gam_x / rho, grad_x), "G_y": op(dphi, du, gam_y / rho, grad_y),
+           "M_phid_x": op(dphi, dphi, dx, mass), "M_phid_y": op(dphi, dphi, dy, mass)}
+    if ops.R_v is not None:
+        ref["R_v"], ref["R_theta"] = reference_boundary(ops, gemm_blocks)
+    return ref
+
+
+BUILDER_DOMAINS = {"square": (0.0, 1.0, 0.0, 1.0), "wide": (0.0, 1.5, 0.0, 1.0),
+                   "one_column": (0.0, 0.25, 0.0, 1.0), "one_row": (0.0, 1.25, 0.0, 0.25)}
+BUILDER_MATERIALS = {"homogeneous": homogeneous_material(c=1.3),
+                     "layered": layered_material(interfaces=(0.25, 0.75)),
+                     "wavy": wavy_material()}
+ELEMENT_ROWS = ("B_x", "B_y", "G_x", "G_y", "M_phid_x", "M_phid_y")
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_neighbour_ranges_are_the_nodes_of_the_touching_elements(p):
+    # Too narrow a range misplaces entries; too wide a one only stores zeros, which
+    # elimination hides from every assembled matrix, so it is pinned here.
+    for n_el in range(5):
+        lo, width = _neighbours(n_el, p)
+        assert lo.size == width.size == n_el * p + 1
+        for g in range(n_el * p + 1):
+            touching = [e for e in range(n_el) if e * p <= g <= e * p + p]
+            near = sorted({n for e in touching for n in range(e * p, e * p + p + 1)}) or [g]
+            assert list(range(lo[g], lo[g] + width[g])) == near, (n_el, g)
+
+
+@pytest.mark.parametrize("r", [-1.0, 0.5, 1.0])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_csr_builders_match_the_coo_scatter(p, r):
+    # The lattice builder (continuous rows) and the element-row builder (phi rows, and B
+    # through its transpose) against the COO reference on the same blocks: the same
+    # pattern everywhere, bit-identical where no entry sums two blocks. One-element-wide
+    # meshes clip a 1D neighbour range at both ends; the layer edge at 0.6 cuts elements.
+    basis = tensor_basis_tables(p)
+    pml = PmlConfig(delta=0.4, x_inner=0.6, y_inner=0.6, d0_x=3.0, d0_y=2.0)
+    for dom, mat, layer in [(d, m, l) for d in BUILDER_DOMAINS for m in BUILDER_MATERIALS
+                            for l in (pml, None)]:
+        mesh = build_cartesian_mesh(BUILDER_DOMAINS[dom], 0.25)
+        ops = assemble_all(mesh, basis, BUILDER_MATERIALS[mat], layer, r=r)
+        ref = scatter_reference(ops)
+        assert set(ref) == set(sparse_operators(ops))
+        for name, R in ref.items():
+            case = (dom, mat, layer is not None, name)
+            A = sparse_operators(ops)[name].tocsr()
+            assert np.array_equal(A.indptr, R.indptr), case
+            assert np.array_equal(A.indices, R.indices), case
+            if name in ELEMENT_ROWS:
+                assert np.array_equal(A.data, R.data), case
+            elif R.nnz:
+                assert np.max(np.abs(A.data - R.data)) <= 1e-15 * np.max(np.abs(R.data)), case
+
+    # The 1D lattice (one row of nodes) against the COO reference, graded weight.
+    for n_el in (1, 3):
+        coef_1d = 1.0 + np.linspace(0.0, 1.0, n_el * basis.quad.n).reshape(n_el, -1)
+        cells = np.arange(n_el)[:, None] * p + np.arange(p + 1)
+        for table, scale in ((basis.val1d, 0.125), (basis.der1d, 8.0)):
+            R = reference_scatter(cells, cells, gemm_blocks(basis.quad.weights, coef_1d, table,
+                                                            table, scale),
+                                  (n_el * p + 1,) * 2).toarray()
+            got = lattice_matrix_1d(basis, coef_1d, scale, table)
+            assert np.array_equal(got != 0, R != 0)
+            assert np.max(np.abs(got - R)) <= 1e-15 * np.max(np.abs(R))
+
+
+def test_blocks_are_formed_only_for_elements_with_a_nonzero_coefficient(monkeypatch):
+    # Both builders drop the elements and edges whose coefficient is all zero before
+    # the GEMM, so the layer operators cost only their share of the mesh.
+    rows = []
+
+    def spy(coef, weights, terms):
+        coef = np.asarray(coef)
+        assert np.all(np.any(coef != 0, axis=1))
+        rows.append(coef.shape[0])
+        return element_blocks(coef, weights, terms)
+
+    monkeypatch.setattr("pmlwave.assembly.element_blocks", spy)
+    mesh = build_cartesian_mesh((0.0, 1.0, 0.0, 1.0), 0.25)
+    pml = PmlConfig(delta=0.4, x_inner=0.6, y_inner=0.6, d0_x=3.0, d0_y=2.0)
+    for r in (-1.0, 0.5):
+        assemble_all(mesh, tensor_basis_tables(2), wavy_material(), pml, r=r)
+    assert 0 < min(rows) < mesh.n_elem
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_load_sums_in_element_order(kind):
+    # bincount and np.add.at both add in input order, part by part: the same bits.
+    mesh = build_cartesian_mesh((0.0, 1.5, 0.0, 1.0), 0.25)
+    basis = tensor_basis_tables(3)
+    ops = assemble_all(mesh, basis, wavy_material(), None)
+    X, Y = physical_quad_points(mesh, basis)
+    coef = np.cos(3.0 * X) * np.exp(Y)
+    if kind == "complex":
+        coef = (1.0 + 2.0j) * coef * np.exp(1j * X * Y)
+    got = assemble_load(mesh, basis, ops.dof_u, coef)
+    assert got.dtype == coef.dtype
+    assert np.array_equal(got, reference_load(ops, coef, gemm_blocks))
 
 
 @pytest.mark.parametrize("case", ["damped_dirichlet", "layered_impedance"])
