@@ -127,11 +127,11 @@ def _check_reference_reach(cfg: SimulationConfig, t_end: float) -> None:
 def run_pml_error_experiment(cfg: SimulationConfig) -> PmlErrorSeries:
     """Max-norm error of the damped run against the enlarged-domain reference.
 
-    Both runs share h, p, dt, forcing and material; the reference disables
-    the layer and relies on domain size. The two runs advance in lock-step
-    and are compared at every step over the solution nodes inside the
-    observation box, so neither keeps more than its current state. Only a
-    reference that does not separate is assembled and stepped by trajectory.
+    Both runs share h, p, dt, forcing and material; the reference disables the layer and
+    relies on domain size. They advance in lock-step and are compared at every step over the
+    solution nodes inside the observation box: the damped run keeps only its current state,
+    the modal reference a block of at most about 1 MB of steps. Only a reference that does
+    not separate is assembled and stepped by trajectory.
     """
     t_end = cfg.effective_t_end()
     _check_reference_reach(cfg, t_end)

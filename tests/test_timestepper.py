@@ -385,26 +385,57 @@ def test_unstable_step_raises():
         run(ops, None, 5.0, 500.0, initial=initial)
 
 
-def modal_case(p, r):
-    """A homogeneous c = 1.5, rho = 2 problem on a non-square mesh, and an off-center box."""
-    mesh = build_cartesian_mesh((0.0, 1.0, 0.0, 1.5), 0.25)
+def modal_case(p, r, domain=(0.0, 1.0, 0.0, 1.5), h=0.25, box=(0.25, 0.75, 0.25, 1.0)):
+    """A homogeneous c = 1.5, rho = 2 problem, by default on a non-square mesh with an
+    off-center box."""
+    mesh = build_cartesian_mesh(domain, h)
     basis = tensor_basis_tables(p)
     material = homogeneous_material(c=1.5, rho=2.0)
     ops = assemble_all(mesh, basis, material, None, r=r)
-    nodes = nodes_in_box(ops.dof_u, (0.25, 0.75, 0.25, 1.0))
+    nodes = nodes_in_box(ops.dof_u, box)
     return ops, (mesh, basis, ops.dof_u, material, r), nodes
 
 
+# The small profile's reference lattice: (+-12)^2 at h = 0.6, p = 2 has 79^2 modes for r = -1
+# (81^2 for r = 1), so blocks of 21 (19) steps: 61 rows fill no whole number of them, and 42
+# rows fill exactly two for r = -1.
+BLOCKS = dict(domain=(-12.0, 12.0, -12.0, 12.0), h=0.6, box=(-3.0, 3.0, -3.0, 3.0))
+# Its envelope is exactly 0 from t = 0.33 on, so the last steps run unforced.
+SHORT_PULSE = GaussianPulse(center=(0.4, 0.4), sigma=0.15, t0=0.05, tau=0.01)
+# Nonzero at no multiple of dt = 0.005: only the half-step samples of one step see it.
+SPIKE = GaussianPulse(center=(0.4, 0.4), sigma=0.15, t0=0.2025, tau=5e-5)
+
+
 @pytest.mark.parametrize("r", [-1.0, 1.0], ids=["dirichlet", "neumann"])
-@pytest.mark.parametrize("p", [1, 2, 3])
-def test_modal_trajectory_matches_trajectory(p, r):
-    ops, problem, nodes = modal_case(p, r)
-    dt, t_end = 0.005, 0.4
-    nodal = np.array([y[nodes] for y in trajectory(ops, PULSE, dt, t_end)])
-    modal = np.array(list(modal_trajectory(*problem, PULSE, dt, t_end, nodes)))
-    assert modal.shape == nodal.shape == (81, nodes.size)
+@pytest.mark.parametrize("p, lattice, pulse, dt, t_end", [
+    (1, {}, PULSE, 0.005, 0.4), (2, {}, PULSE, 0.005, 0.4), (3, {}, PULSE, 0.005, 0.4),
+    (2, BLOCKS, PULSE, 0.05, 3.0), (2, BLOCKS, PULSE, 0.05, 2.05),
+    (2, {}, SHORT_PULSE, 0.005, 0.4), (2, {}, SPIKE, 0.005, 0.4)],
+    ids=["1", "2", "3", "blocks", "full-blocks", "forcing-off", "half-step-spike"])
+def test_modal_trajectory_matches_trajectory(p, lattice, pulse, dt, t_end, r):
+    ops, problem, nodes = modal_case(p, r, **lattice)
+    nodal = np.array([y[nodes] for y in trajectory(ops, pulse, dt, t_end)])
+    modal = np.array(list(modal_trajectory(*problem, pulse, dt, t_end, nodes)))
+    assert modal.shape == nodal.shape == (round(t_end / dt) + 1, nodes.size)
     assert np.max(np.abs(nodal)) > 0.0
     assert np.max(np.abs(modal - nodal)) <= 1e-12 * np.max(np.abs(nodal))
+    if pulse is SHORT_PULSE:
+        assert pulse.envelope(0.33) == 0.0 < pulse.envelope(0.32)
+    if pulse is SPIKE:
+        assert not np.any(pulse.envelope(np.arange(81) * dt))
+
+
+def test_modal_trajectory_raises_at_the_first_non_finite_step():
+    # A near-overflow pulse drives the zero mode of r = 1 like f t^2 / 2 past the largest
+    # double. RK4 through its four stages (_rk4_step on the same modes) raises at t = 19.84
+    # too, and the 992 rows before that step come out first.
+    pulse = GaussianPulse(amplitude=1e306, sigma=100.0, t0=10.0, tau=10.0)
+    _, problem, nodes = modal_case(2, 1.0)
+    rows = []
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match=r"non-finite at t=19\.8400$"):
+        rows.extend(modal_trajectory(*problem, pulse, 0.02, 40.0, nodes))
+    assert len(rows) == 992 and np.all(np.isfinite(rows))
 
 
 @pytest.mark.parametrize("r", [-1.0, 1.0], ids=["dirichlet", "neumann"])
