@@ -5,7 +5,7 @@ Chains the frequency-domain battery, the layer-error refinement study and a
 long-time stability run, writing all tables below one output directory. With
 --profile paper the sweep reruns at publication resolution (Q3, h down to
 0.15); on a 2-core machine with BLAS on one thread the whole paper suite
-takes about 6 minutes (344 s), most of it the long-time run.
+takes about 10 minutes, most of it the long-time run.
 """
 
 import argparse

@@ -275,8 +275,8 @@ def assemble_all(
     """
     if not -1.0 <= r <= 1.0:
         raise ValueError(f"reflection coefficient must lie in [-1, 1], got {r}")
-    dof_u = dof_map(mesh, basis.p, "continuous", gll=basis.gll_nodes)
-    dof_phi = dof_map(mesh, basis.p, "discontinuous", gll=basis.gll_nodes)
+    dof_u = dof_map(mesh, basis.p, "continuous")
+    dof_phi = dof_map(mesh, basis.p, "discontinuous")
 
     X, Y = physical_quad_points(mesh, basis)
     kap = _coef_at_quad(material.kappa(X, Y), mesh, basis)

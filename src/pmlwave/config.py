@@ -11,8 +11,6 @@ set explicitly.
 import json
 from dataclasses import dataclass, fields, replace
 
-import numpy as np
-
 from .assembly import GaussianPulse
 from .errors import ConfigError
 from .mesh import (MaterialField, check_interfaces_on_grid, element_counts,
@@ -103,10 +101,8 @@ class SimulationConfig:
             d0x = d0y = float(self.d0)
         else:
             tol = tolerance(self.c0, self.delta_pml, self.h, self.p)
-            ys_all = np.linspace(y0, y1, 257)
-            c_x = float(np.max(mat.wave_speed(np.zeros_like(ys_all), ys_all)))
-            ys_strip = np.concatenate([np.linspace(y0, yi0, 65), np.linspace(yi1, y1, 65)])
-            c_y = float(np.max(mat.wave_speed(np.zeros_like(ys_strip), ys_strip)))
+            c_x = mat.max_wave_speed(y0, y1)
+            c_y = max(mat.max_wave_speed(y0, yi0), mat.max_wave_speed(yi1, y1))
             d0x = damping_strength(c_x, self.delta_pml, tol)
             d0y = damping_strength(c_y, self.delta_pml, tol)
         return PmlConfig(delta=self.delta_pml, x_inner=xi1, y_inner=yi1,

@@ -114,8 +114,7 @@ def _check_reference_reach(cfg: SimulationConfig, t_end: float) -> None:
     to_bnd = min(cx - x0, x1 - cx, cy - y0, y1 - cy)
     xi0, xi1, yi0, yi1 = cfg.inner_box()
     back = min(xi0 - x0, x1 - xi1, yi0 - y0, y1 - yi1)
-    ys = np.linspace(y0, y1, 257)
-    c_max = float(np.max(cfg.material_field().wave_speed(np.zeros_like(ys), ys)))
+    c_max = cfg.material_field().max_wave_speed(y0, y1)
     if c_max * t_end > to_bnd + back:
         warnings.warn(
             f"reference domain too small: c_max*t_end = {c_max * t_end:.3g} exceeds "
@@ -141,7 +140,7 @@ def run_pml_error_experiment(cfg: SimulationConfig) -> PmlErrorSeries:
     prob_pml = build_problem(cfg, domain=cfg.domain, damped=True)
     mesh = build_cartesian_mesh(cfg.reference_domain, cfg.h)
     if separates(mesh, prob_pml.basis, prob_pml.ops.material, cfg.r):
-        dof_ref = dof_map(mesh, cfg.p, "continuous", gll=prob_pml.basis.gll_nodes)
+        dof_ref = dof_map(mesh, cfg.p, "continuous")
         idx_pml, idx_ref = _matched_inner_nodes(prob_pml.ops.dof_u, dof_ref, inner)
         reference = modal_trajectory(mesh, prob_pml.basis, dof_ref, prob_pml.ops.material,
                                      cfg.r, pulse, cfg.dt, t_end, idx_ref)
@@ -236,7 +235,7 @@ def run_laplace_battery(seed: int = 7) -> list[dict]:
     s_proj = complex(2.0, 3.0)
     for p in (1, 2):
         basis = tensor_basis_tables(p)
-        dof_w = dof_map(mesh3, p, "discontinuous", gll=basis.gll_nodes)
+        dof_w = dof_map(mesh3, p, "discontinuous")
         g = rng.standard_normal(dof_w.n_dofs)
 
         def d_fn(x, y):

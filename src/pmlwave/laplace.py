@@ -168,7 +168,7 @@ def assemble_reduced(
         )
     kappa, rho = coefs
 
-    dof_u = dof_map(mesh, basis.p, "continuous", gll=basis.gll_nodes)
+    dof_u = dof_map(mesh, basis.p, "continuous")
     inner = slice(1, -1)  # the Dirichlet nodes are eliminated
     (M_x, K_x1, lam_x, V_x), (M_y, K_y1, lam_y, V_y) = lattice_eigenbases(basis, mesh, inner)
     Sx, Sy = stretch(s, d_x), stretch(s, d_y)

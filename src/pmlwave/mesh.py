@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .quadrature import MAX_ORDER, BasisQp, gauss_lobatto_nodes
+from .quadrature import BasisQp, gauss_lobatto_nodes
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,17 @@ class MaterialField:
 
     def wave_speed(self, x, y):
         return np.sqrt(self.kappa(x, y) / self.rho(x, y))
+
+    def max_wave_speed(self, y0: float, y1: float) -> float:
+        """Fastest wave speed over y0 <= y <= y1.
+
+        Samples the midpoint of each band between y0, the interfaces inside
+        the range, and y1, which is exact for material that depends on y
+        only and is constant between interfaces, however thin the band.
+        """
+        cuts = np.array([y0, *(v for v in self.interfaces if y0 < v < y1), y1], dtype=float)
+        mids = 0.5 * (cuts[:-1] + cuts[1:])
+        return float(np.max(self.wave_speed(np.zeros_like(mids), mids)))
 
 
 def homogeneous_material(c: float = 1.0, rho: float = 1.0) -> MaterialField:
@@ -159,47 +170,35 @@ def build_cartesian_mesh(domain, h: float) -> MeshQ:
     ey = ey.ravel()
     elem_origin = np.column_stack([x0 + ex * hx, y0 + ey * hy])
 
-    edges = []
-    for e in range(nx * ny):
-        if ey[e] == 0:
-            edges.append((e, 0, 0, -1))
-        if ex[e] == nx - 1:
-            edges.append((e, 1, 1, 0))
-        if ey[e] == ny - 1:
-            edges.append((e, 2, 0, 1))
-        if ex[e] == 0:
-            edges.append((e, 3, -1, 0))
+    # Local edges 0..3 are bottom, right, top, left; listed element-major.
+    on_edge = np.column_stack([ey == 0, ex == nx - 1, ey == ny - 1, ex == 0])
+    elem, local = np.nonzero(on_edge)
+    normals = np.array([(0, -1), (1, 0), (0, 1), (-1, 0)])
     return MeshQ(
         x0=x0, x1=x1, y0=y0, y1=y1,
         nx=nx, ny=ny, hx=hx, hy=hy,
         elem_origin=elem_origin,
-        boundary_edges=np.array(edges, dtype=int),
+        boundary_edges=np.column_stack([elem, local, normals[local]]).astype(int),
     )
 
 
 def _node_lattice_1d(start: float, h: float, n_elem: int, gll: np.ndarray) -> np.ndarray:
     """Physical coordinates of the unique 1D node lattice: n_elem*p + 1 values."""
-    p = len(gll) - 1
-    xs = np.empty(n_elem * p + 1)
-    for e in range(n_elem):
-        xs[e * p : (e + 1) * p + 1] = start + e * h + (gll + 1.0) * (h / 2.0)
-    xs[-1] = start + n_elem * h
-    return xs
+    starts = start + np.arange(n_elem) * h
+    xs = starts[:, None] + (gll[:-1] + 1.0) * (h / 2.0)
+    return np.append(xs.ravel(), start + n_elem * h)
 
 
-def dof_map(mesh: MeshQ, p: int, kind: str, gll: np.ndarray | None = None) -> DofMap:
+def dof_map(mesh: MeshQ, p: int, kind: str) -> DofMap:
     """Number the Q_p DOFs of the requested space on the mesh.
 
     Continuous: nodes on shared edges collapse to one global index, numbered
     lexicographically by (y, x). Discontinuous: element-major, (p+1)^2 per
-    element, nothing shared. gll may be passed to reuse precomputed nodes.
+    element, nothing shared.
     """
-    if not 1 <= p <= MAX_ORDER:
-        raise ValueError(f"basis order must be in 1..{MAX_ORDER}, got {p}")
+    gll = gauss_lobatto_nodes(p)  # raises unless 1 <= p <= MAX_ORDER
     if kind not in ("continuous", "discontinuous"):
         raise ValueError(f"unknown DOF map kind {kind!r}")
-    if gll is None:
-        gll = gauss_lobatto_nodes(p)
     nloc = (p + 1) ** 2
     n_elem = mesh.n_elem
     loc_j, loc_i = np.divmod(np.arange(nloc), p + 1)

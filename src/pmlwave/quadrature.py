@@ -1,7 +1,10 @@
 """1D Gauss rules and tensor-product Lagrange bases on the reference square.
 
-Nodes are computed by Newton iteration with Chebyshev initial guesses, so
-the module has no dependency beyond numpy. The (p+1)-point Gauss-Legendre
+Nodes, weights and the Lagrange basis come from numpy.polynomial.legendre:
+leggauss for the Gauss-Legendre rule (Golub-Welsch eigenvalues with one
+Newton polish), legroots of P_p' for the interior Gauss-Lobatto nodes, and
+the inverse Legendre-Vandermonde matrix of the nodes for the cardinal
+functions, evaluated by legval and legder. The (p+1)-point Gauss-Legendre
 rule paired with Q_p is deliberate: with exactly (p+1)^2 points per element
 the quadrature-point values determine a unique Q_p polynomial, and that
 property is load-bearing for the discontinuous-space algebra downstream.
@@ -11,11 +14,10 @@ Do not swap in a finer rule here.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import legendre as npleg
 
 MAX_ORDER = 8          # basis order cap; higher orders raise conditioning questions
 MAX_QUAD_POINTS = 16
-_NEWTON_CAP = 100
-_NEWTON_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -63,143 +65,47 @@ class BasisQp:
         return (self.p + 1) ** 2
 
 
-def _legendre(n: int, x: np.ndarray):
-    """Evaluate P_n and P_n' by the three-term recurrence.
-
-    Returns (P_n(x), P_n'(x)); derivative via the standard identity
-    (1-x^2) P_n'(x) = n*(P_{n-1}(x) - x*P_n(x)), with a separate branch
-    for |x| = 1 where that identity degenerates.
-    """
-    x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev, np.zeros_like(x)
-    p_cur = x.copy()
-    for k in range(1, n):
-        p_next = ((2 * k + 1) * x * p_cur - k * p_prev) / (k + 1)
-        p_prev, p_cur = p_cur, p_next
-    one_minus = 1.0 - x * x
-    deriv = np.empty_like(x)
-    interior = one_minus > 1e-14
-    deriv[interior] = (
-        n * (p_prev[interior] - x[interior] * p_cur[interior]) / one_minus[interior]
-    )
-    # At x = +-1: P_n'(+-1) = (+-1)^(n-1) * n*(n+1)/2.
-    edge = ~interior
-    deriv[edge] = np.sign(x[edge]) ** (n - 1) * n * (n + 1) / 2.0
-    return p_cur, deriv
-
-
 def gauss_legendre_rule(n: int) -> QuadRule1D:
-    """Gauss-Legendre rule with n points on [-1, 1].
-
-    Nodes are the roots of P_n found by Newton iteration from Chebyshev
-    initial guesses; weights via 2 / ((1 - x^2) * P_n'(x)^2). The node set
-    is symmetrized so rounding cannot break the +-x pairing.
-    """
+    """Gauss-Legendre rule with n points on [-1, 1], from numpy's leggauss."""
     if not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_QUAD_POINTS:
         raise ValueError(f"quadrature point count must be in 1..{MAX_QUAD_POINTS}, got {n}")
-    if n == 1:
-        return QuadRule1D(nodes=np.zeros(1), weights=np.full(1, 2.0))
-
-    k = np.arange(n)
-    x = np.cos(np.pi * (k + 0.75) / (n + 0.5))  # Chebyshev-like guess, descending
-    for _ in range(_NEWTON_CAP):
-        val, der = _legendre(n, x)
-        dx = val / der
-        x = x - dx
-        if np.max(np.abs(dx)) < _NEWTON_TOL:
-            break
-    val, der = _legendre(n, x)
-    if np.max(np.abs(val)) > 1e-14:
-        raise RuntimeError(f"Newton iteration for Gauss-Legendre nodes stalled at n={n}")
-    x = np.sort(x)
-    x = 0.5 * (x - x[::-1])  # enforce exact symmetry about 0
-    _, der = _legendre(n, x)
-    w = 2.0 / ((1.0 - x * x) * der * der)
-    w = 0.5 * (w + w[::-1])
-    return QuadRule1D(nodes=x, weights=w)
+    return QuadRule1D(*npleg.leggauss(n))
 
 
 def gauss_lobatto_nodes(p: int) -> np.ndarray:
     """The p+1 Gauss-Lobatto nodes on [-1, 1]: +-1 and the roots of P_p'.
 
-    Interior roots by Newton on P_p' (second derivative from the Legendre
-    ODE), started from the Chebyshev-Lobatto points.
+    legroots leaves the roots up to 8 ulp off at p >= 6; one Newton step, as
+    leggauss takes, brings them to within 1 ulp. The interior set is
+    symmetrized so rounding cannot break the +-x pairing.
     """
     if not isinstance(p, (int, np.integer)) or not 1 <= p <= MAX_ORDER:
         raise ValueError(f"basis order must be in 1..{MAX_ORDER}, got {p}")
-    if p == 1:
-        return np.array([-1.0, 1.0])
-
-    k = np.arange(1, p)
-    x = np.cos(np.pi * k / p)  # Chebyshev-Lobatto interior points, descending
-    for _ in range(_NEWTON_CAP):
-        val, der = _legendre(p, x)
-        # q = P_p', q' = P_p'' = (2x P_p' - p(p+1) P_p) / (1 - x^2)
-        second = (2.0 * x * der - p * (p + 1) * val) / (1.0 - x * x)
-        dx = der / second
-        x = x - dx
-        if np.max(np.abs(dx)) < _NEWTON_TOL:
-            break
-    _, der = _legendre(p, x)
-    if np.max(np.abs(der)) > 1e-14:
-        raise RuntimeError(f"Newton iteration for Gauss-Lobatto nodes stalled at p={p}")
-    x = np.sort(x)
+    dp = npleg.legder([0] * p + [1])
+    x = np.sort(npleg.legroots(dp))
+    x -= npleg.legval(x, dp) / npleg.legval(x, npleg.legder(dp))
     x = 0.5 * (x - x[::-1])
     return np.concatenate(([-1.0], x, [1.0]))
 
 
-def _check_nodes(nodes: np.ndarray) -> np.ndarray:
+def _cardinal_coefficients(nodes) -> np.ndarray:
+    """Legendre coefficients of the cardinal functions of nodes: column j is L_j."""
     nodes = np.asarray(nodes, dtype=float)
     if len(np.unique(nodes)) != len(nodes):
         raise ValueError("interpolation nodes must be distinct")
-    return nodes
-
-
-def lagrange_eval(nodes, j: int, x):
-    """Cardinal function L_j of the given nodes, evaluated at x (scalar or array)."""
-    nodes = _check_nodes(nodes)
-    if not 0 <= j < len(nodes):
-        raise ValueError(f"index {j} out of range for {len(nodes)} nodes")
-    x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
-    for k in range(len(nodes)):
-        if k != j:
-            out = out * (x - nodes[k]) / (nodes[j] - nodes[k])
-    return out if out.ndim else float(out)
-
-
-def lagrange_deriv(nodes, j: int, x):
-    """Derivative L_j' at x, by the sum-over-omitted-node product formula."""
-    nodes = _check_nodes(nodes)
-    if not 0 <= j < len(nodes):
-        raise ValueError(f"index {j} out of range for {len(nodes)} nodes")
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for m in range(len(nodes)):
-        if m == j:
-            continue
-        term = np.ones_like(x) / (nodes[j] - nodes[m])
-        for k in range(len(nodes)):
-            if k != j and k != m:
-                term = term * (x - nodes[k]) / (nodes[j] - nodes[k])
-        out = out + term
-    return out if out.ndim else float(out)
+    return np.linalg.inv(npleg.legvander(nodes, len(nodes) - 1))
 
 
 def lagrange_values_at(nodes, x) -> np.ndarray:
     """Matrix V[j, i] = L_j(x_i) for all cardinal functions at all points x."""
-    nodes = _check_nodes(nodes)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return np.array([lagrange_eval(nodes, j, x) for j in range(len(nodes))])
+    return npleg.legval(np.atleast_1d(np.asarray(x, dtype=float)),
+                        _cardinal_coefficients(nodes))
 
 
 def lagrange_derivs_at(nodes, x) -> np.ndarray:
     """Matrix D[j, i] = L_j'(x_i)."""
-    nodes = _check_nodes(nodes)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return np.array([lagrange_deriv(nodes, j, x) for j in range(len(nodes))])
+    return npleg.legval(np.atleast_1d(np.asarray(x, dtype=float)),
+                        npleg.legder(_cardinal_coefficients(nodes)))
 
 
 def tensor_basis_tables(p: int) -> BasisQp:

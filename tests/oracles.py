@@ -3,8 +3,10 @@
 Everything here is computed with explicit scalar loops, numpy's own
 Gauss-Legendre rule (numpy.polynomial.legendre.leggauss) and Lobatto nodes
 from the roots of the Legendre-derivative polynomial, so it shares no code
-path with the package's vectorized assembly. Dense matrices only; meant for
-tiny meshes.
+path with the package's vectorized assembly. The package takes its rules
+from the same numpy routines, but its Lagrange tables come from a Legendre
+Vandermonde inverse, not from the product formulas lag and dlag below.
+Dense matrices only; meant for tiny meshes.
 """
 
 import numpy as np

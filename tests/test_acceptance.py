@@ -12,7 +12,6 @@ import time
 
 import numpy as np
 import pytest
-from numpy.polynomial import legendre as npleg
 
 from oracles import OracleProblem
 from pmlwave.assembly import GaussianPulse, assemble_all, assemble_stiffness
@@ -166,7 +165,7 @@ def test_criterion_09_assembly_against_oracle():
     t0 = time.perf_counter()
     mesh1 = build_cartesian_mesh((0.0, 1.0, 0.0, 1.0), 1.0)
     basis1 = tensor_basis_tables(1)
-    dm1 = dof_map(mesh1, 1, "continuous", gll=basis1.gll_nodes)
+    dm1 = dof_map(mesh1, 1, "continuous")
     K1 = assemble_stiffness(mesh1, basis1, dm1, lambda x, y: 1.0).toarray()
     expect = np.array([
         [2 / 3, -1 / 6, -1 / 6, -1 / 3],
@@ -222,7 +221,7 @@ def test_criterion_10_interpolation_and_projection():
 
     mesh = build_cartesian_mesh((0.0, 1.0, 0.0, 1.0), 1.0 / 3.0)
     basis = tensor_basis_tables(2)
-    dof_w = dof_map(mesh, 2, "discontinuous", gll=basis.gll_nodes)
+    dof_w = dof_map(mesh, 2, "discontinuous")
     g = rng.standard_normal(dof_w.n_dofs) + 1j * rng.standard_normal(dof_w.n_dofs)
     d_fn = lambda x, y: 4.0 * np.asarray(x) ** 2
     s = 2.0 + 3.0j

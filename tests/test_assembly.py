@@ -8,8 +8,8 @@ import scipy.sparse as sp
 
 from pmlwave.assembly import (GaussianPulse, _assemble_coupling_g, _neighbours, assemble_all,
                               assemble_forcing_spatial, assemble_load, assemble_stiffness,
-                              assemble_weighted_mass, eliminate_dirichlet, element_blocks,
-                              lattice_matrix_1d, sparse_operators)
+                              eliminate_dirichlet, element_blocks, lattice_matrix_1d,
+                              sparse_operators)
 from pmlwave.errors import NumericalError
 from pmlwave.laplace import projection_pi_p
 from pmlwave.mesh import (MaterialField, build_cartesian_mesh, dof_map,
@@ -40,7 +40,7 @@ def interior_pml():
 def test_q1_unit_square_stiffness():
     mesh = build_cartesian_mesh((0.0, 1.0, 0.0, 1.0), 1.0)
     basis = tensor_basis_tables(1)
-    dm = dof_map(mesh, 1, "continuous", gll=basis.gll_nodes)
+    dm = dof_map(mesh, 1, "continuous")
     K = assemble_stiffness(mesh, basis, dm, lambda x, y: 1.0).toarray()
     expect = np.array([
         [2 / 3, -1 / 6, -1 / 6, -1 / 3],
@@ -181,7 +181,7 @@ def test_forcing_vector_matches_manual_quadrature():
     mesh = build_cartesian_mesh((0.0, 1.0, 0.0, 1.0), 0.5)
     basis = tensor_basis_tables(2)
     mat = wavy_material()
-    dm = dof_map(mesh, 2, "continuous", gll=basis.gll_nodes)
+    dm = dof_map(mesh, 2, "continuous")
     pulse = GaussianPulse(amplitude=1.7, sigma=0.3, center=(0.4, 0.6), t0=1.0, tau=0.25)
 
     f = pulse.envelope(0.75) * assemble_forcing_spatial(mesh, basis, mat, dm, pulse.spatial)

@@ -1,10 +1,9 @@
 import json
 
-import numpy as np
 import pytest
 
 from pmlwave.config import (SimulationConfig, config_from_dict, parse_config,
-                            save_config, serialize_config, validate_config)
+                            save_config, validate_config)
 from pmlwave.errors import ConfigError
 from pmlwave.pml import damping_strength, tolerance
 
@@ -142,6 +141,17 @@ def test_pml_strength_derivation_layered():
     expect = damping_strength(1.25, 0.6, tol)
     assert pml.d0_x == pytest.approx(expect)
     assert pml.d0_y == pytest.approx(expect)
+
+
+def test_pml_strength_sees_a_thin_fast_layer():
+    # the c = 3 band is 0.02 thick, far thinner than any sampling of y would see
+    cfg = config_from_dict({"material": "layered", "layer_speeds": [1, 3, 1],
+                            "interfaces": [1.0, 1.02], "h": 0.02, "p": 1})
+    pml = cfg.pml_config()
+    tol = tolerance(cfg.c0, cfg.delta_pml, cfg.h, cfg.p)
+    assert pml.d0_x == pytest.approx(damping_strength(3.0, cfg.delta_pml, tol))
+    # the y strips lie outside the band
+    assert pml.d0_y == pytest.approx(damping_strength(1.0, cfg.delta_pml, tol))
 
 
 def test_explicit_d0_overrides_both_axes():

@@ -174,6 +174,15 @@ def test_reference_reach_warning():
         run_pml_error_experiment(micro_cfg(t_end=6.0))
 
 
+def test_reference_reach_sees_a_thin_fast_layer():
+    # c = 3 in a band 0.02 thick: 3 * 8 = 24 exceeds the shortest reflection path 18.6
+    cfg = config_from_dict({"material": "layered", "layer_speeds": [1, 3, 1],
+                            "interfaces": [1.0, 1.02], "h": 0.02, "p": 1},
+                           experiment="pml-error")
+    with pytest.warns(RuntimeWarning, match="reference domain too small"):
+        experiments._check_reference_reach(cfg, 8.0)
+
+
 def test_longtime_windows():
     cfg = micro_cfg(t_end=1.0, amplitude_stride=4)
     res = run_longtime_experiment(cfg)
@@ -207,7 +216,7 @@ def test_laplace_battery_rows_hold_exactly_the_report_columns():
 def test_projection_residual_matches_per_element_reference():
     mesh = build_cartesian_mesh((0.0, 1.0, 0.0, 1.5), 0.5)
     basis = tensor_basis_tables(2)
-    dm = dof_map(mesh, 2, "discontinuous", gll=basis.gll_nodes)
+    dm = dof_map(mesh, 2, "discontinuous")
     rng = np.random.default_rng(4)
     g, gp = rng.standard_normal(dm.n_dofs), rng.standard_normal(dm.n_dofs)
     s = 2.0 + 3.0j

@@ -11,6 +11,9 @@ import pmlwave
 
 MODULES = sorted(p for p in Path(pmlwave.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+REPO = Path(__file__).resolve().parents[1]
+# Module, test and script file names are distinct, so the bare name identifies each file.
+SCANNED = MODULES + sorted([*(REPO / "tests").glob("*.py"), *(REPO / "scripts").glob("*.py")])
 
 
 def unused_imports(source: str) -> list:
@@ -32,7 +35,7 @@ def test_scan_finds_an_unused_import():
     assert unused_imports(src) == ["os (line 1)", "tau (line 2)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SCANNED, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -86,7 +89,6 @@ def test_cli_import_leaves_the_laplace_lab_unloaded():
     assert proc.stdout.split() == []
 
 
-REPO = Path(__file__).resolve().parents[1]
 CALLERS = sorted([*Path(pmlwave.__file__).parent.glob("*.py"), *(REPO / "scripts").glob("*.py"),
                   *(REPO / "perfbench").glob("*.py")])
 

@@ -304,7 +304,7 @@ def test_interpolant_roundtrip_and_aliasing():
 def test_projection_constant_damping_is_scalar_division():
     mesh = unit_mesh(0.5)
     basis = tensor_basis_tables(2)
-    dm = dof_map(mesh, 2, "discontinuous", gll=basis.gll_nodes)
+    dm = dof_map(mesh, 2, "discontinuous")
     rng = np.random.default_rng(8)
     g = rng.standard_normal(dm.n_dofs)
     s = 2.0 + 3.0j
@@ -316,11 +316,11 @@ def test_projection_constant_damping_is_scalar_division():
 def test_projection_validation():
     mesh = unit_mesh(0.5)
     basis = tensor_basis_tables(1)
-    dm_cont = dof_map(mesh, 1, "continuous", gll=basis.gll_nodes)
+    dm_cont = dof_map(mesh, 1, "continuous")
     with pytest.raises(ValueError):
         projection_pi_p(np.zeros(dm_cont.n_dofs), mesh, basis, dm_cont,
                         lambda x, y: 0.0 * x, 1.0 + 0.0j)
-    dm = dof_map(mesh, 1, "discontinuous", gll=basis.gll_nodes)
+    dm = dof_map(mesh, 1, "discontinuous")
     with pytest.raises(ValueError):
         projection_pi_p(np.zeros(dm.n_dofs), mesh, basis, dm,
                         lambda x, y: 0.0 * x, -1.0 + 0.0j)
@@ -329,7 +329,7 @@ def test_projection_validation():
 def test_projection_matches_per_element_reference():
     mesh = build_cartesian_mesh((0.0, 1.5, 0.0, 1.0), 0.25)
     basis = tensor_basis_tables(3)
-    dm = dof_map(mesh, 3, "discontinuous", gll=basis.gll_nodes)
+    dm = dof_map(mesh, 3, "discontinuous")
     g = np.random.default_rng(9).standard_normal(dm.n_dofs)
     s = 0.7 - 2.0j
 

@@ -5,7 +5,7 @@ from pmlwave.errors import ConfigError
 from pmlwave.mesh import (build_cartesian_mesh, check_interface_alignment,
                           dof_map, homogeneous_material,
                           layered_material, nodes_in_box, physical_quad_points)
-from pmlwave.quadrature import tensor_basis_tables
+from pmlwave.quadrature import gauss_lobatto_nodes, tensor_basis_tables
 
 
 def test_build_mesh_counts():
@@ -32,11 +32,50 @@ def test_boundary_edges_cover_perimeter():
         assert abs(nx) + abs(ny) == 1
 
 
+def _loop_boundary_edges(mesh):
+    edges = []
+    for e in range(mesh.n_elem):
+        ey, ex = divmod(e, mesh.nx)
+        if ey == 0:
+            edges.append((e, 0, 0, -1))
+        if ex == mesh.nx - 1:
+            edges.append((e, 1, 1, 0))
+        if ey == mesh.ny - 1:
+            edges.append((e, 2, 0, 1))
+        if ex == 0:
+            edges.append((e, 3, -1, 0))
+    return np.array(edges, dtype=int)
+
+
+def _loop_lattice(start, h, n_elem, gll):
+    p = len(gll) - 1
+    xs = np.empty(n_elem * p + 1)
+    for e in range(n_elem):
+        xs[e * p : (e + 1) * p + 1] = start + e * h + (gll + 1.0) * (h / 2.0)
+    xs[-1] = start + n_elem * h
+    return xs
+
+
+@pytest.mark.parametrize("domain, h", [((0, 1, 0, 1), 0.25), ((-6.6, 6.6, -6.6, 6.6), 0.6),
+                                       ((0, 0.5, 0, 2.0), 0.5), ((0, 3.0, 0, 0.5), 0.5)],
+                         ids=["square", "small-profile", "column", "row"])
+def test_mesh_arrays_match_per_element_loops(domain, h):
+    # element-major edge order, and the same node arithmetic, bit for bit
+    mesh = build_cartesian_mesh(domain, h)
+    assert np.array_equal(mesh.boundary_edges, _loop_boundary_edges(mesh))
+    for p in (1, 2, 5):
+        gll = gauss_lobatto_nodes(p)
+        xs = _loop_lattice(mesh.x0, mesh.hx, mesh.nx, gll)
+        ys = _loop_lattice(mesh.y0, mesh.hy, mesh.ny, gll)
+        coords = dof_map(mesh, p, "continuous").node_coords
+        assert np.array_equal(coords[:, 0], np.tile(xs, len(ys)))
+        assert np.array_equal(coords[:, 1], np.repeat(ys, len(xs)))
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_dofmap_continuous(p):
     mesh = build_cartesian_mesh((0, 1, 0, 1), 0.5)
-    basis = tensor_basis_tables(p)
-    dm = dof_map(mesh, p, "continuous", gll=basis.gll_nodes)
+    dm = dof_map(mesh, p, "continuous")
     n1 = 2 * p + 1
     assert dm.n_dofs == n1 * n1
     assert dm.cell_dofs.shape == (4, (p + 1) ** 2)
@@ -54,8 +93,7 @@ def test_dofmap_continuous(p):
 
 def test_dofmap_discontinuous():
     mesh = build_cartesian_mesh((0, 1, 0, 1), 0.5)
-    basis = tensor_basis_tables(2)
-    dm = dof_map(mesh, 2, "discontinuous", gll=basis.gll_nodes)
+    dm = dof_map(mesh, 2, "discontinuous")
     assert dm.n_dofs == 4 * 9
     assert np.array_equal(dm.cell_dofs.ravel(), np.arange(36))
 
@@ -81,6 +119,13 @@ def test_layered_material_bands():
     assert np.allclose(c, [1.25, 1.25, 1.0, 0.75, 0.75])
     assert np.allclose(mat.kappa(0.0, 0.0), 1.0)  # c=1, rho=1 band
     assert mat.interfaces == (-2.4, 2.4)
+    assert mat.max_wave_speed(-2.4, 6.0) == 1.0   # the c = 1.25 band ends at y0
+    assert mat.max_wave_speed(-2.41, 6.0) == 1.25
+    assert mat.max_wave_speed(2.4, 3.0) == 0.75
+    thin = layered_material(speeds=(1.0, 3.0, 1.0), interfaces=(1.0, 1.02))
+    assert thin.max_wave_speed(-6.0, 6.0) == 3.0
+    assert thin.max_wave_speed(-6.0, 1.0) == 1.0   # ends where the fast band starts
+    assert homogeneous_material(c=2.0).max_wave_speed(0.0, 1.0) == 2.0
 
 
 def test_interface_alignment():
@@ -108,8 +153,7 @@ def test_physical_quad_points():
 
 def test_boxes():
     mesh = build_cartesian_mesh((-1, 1, -1, 1), 0.5)
-    basis = tensor_basis_tables(1)
-    dm = dof_map(mesh, 1, "continuous", gll=basis.gll_nodes)
+    dm = dof_map(mesh, 1, "continuous")
     idx = nodes_in_box(dm, (-0.5, 0.5, -0.5, 0.5))
     assert idx.shape == (9,)
     assert np.all(np.abs(dm.node_coords[idx]) <= 0.5 + 1e-12)

@@ -32,7 +32,7 @@ def test_write_csv_round_trip(tmp_path):
 def q2_setup():
     mesh = build_cartesian_mesh((0.0, 1.0, 0.0, 1.0), 0.5)
     basis = tensor_basis_tables(2)
-    dofmap = dof_map(mesh, 2, "continuous", gll=basis.gll_nodes)
+    dofmap = dof_map(mesh, 2, "continuous")
     return mesh, basis, dofmap
 
 
@@ -104,7 +104,7 @@ def test_uniform_lattice_values_match_per_element_loop():
     mesh = build_cartesian_mesh((0.0, 1.5, 0.0, 1.0), 0.25)
     for p in (1, 3, 5):
         basis = tensor_basis_tables(p)
-        dofmap = dof_map(mesh, p, "continuous", gll=basis.gll_nodes)
+        dofmap = dof_map(mesh, p, "continuous")
         u = np.random.default_rng(p).standard_normal(dofmap.n_dofs)
         E1 = lagrange_values_at(basis.gll_nodes, np.linspace(-1.0, 1.0, p + 1))
         E2 = np.kron(E1, E1)

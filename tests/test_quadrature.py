@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 from numpy.polynomial import legendre as npleg
 
 from pmlwave.quadrature import (gauss_legendre_rule, gauss_lobatto_nodes,
-                                lagrange_deriv, lagrange_derivs_at,
-                                lagrange_eval, lagrange_values_at,
+                                lagrange_derivs_at, lagrange_values_at,
                                 tensor_basis_tables)
 
-from oracles import oracle_gll_nodes
+from oracles import dlag, lag, oracle_gll_nodes
 
 
 @pytest.mark.parametrize("n", range(1, 17))
@@ -64,20 +63,19 @@ def test_lagrange_cardinal_property():
 
 
 def test_lagrange_input_checks():
-    with pytest.raises(ValueError):
-        lagrange_eval(np.array([0.0, 0.0, 1.0]), 0, 0.5)
-    with pytest.raises(ValueError):
-        lagrange_eval(np.array([-1.0, 1.0]), 2, 0.5)
-    with pytest.raises(ValueError):
-        lagrange_deriv(np.array([-1.0, 1.0]), -1, 0.5)
+    with pytest.raises(ValueError, match="distinct"):
+        lagrange_values_at(np.array([0.0, 0.0, 1.0]), 0.5)
+    with pytest.raises(ValueError, match="distinct"):
+        lagrange_derivs_at(np.array([-1.0, 1.0, -1.0]), 0.5)
 
 
 @settings(deadline=None, max_examples=50)
 @given(x=st.floats(-1.0, 1.0), p=st.integers(1, 6))
 def test_partition_of_unity(x, p):
     nodes = gauss_lobatto_nodes(p)
-    vals = np.array([lagrange_eval(nodes, j, x) for j in range(p + 1)])
-    ders = np.array([lagrange_deriv(nodes, j, x) for j in range(p + 1)])
+    vals = lagrange_values_at(nodes, x)
+    ders = lagrange_derivs_at(nodes, x)
+    assert vals.shape == ders.shape == (p + 1, 1)
     assert abs(vals.sum() - 1.0) < 1e-12
     assert abs(ders.sum()) < 1e-10
 
@@ -86,9 +84,20 @@ def test_lagrange_derivative_vs_fd():
     nodes = gauss_lobatto_nodes(3)
     xs = np.linspace(-0.9, 0.9, 7)
     eps = 1e-6
-    for j in range(4):
-        fd = (lagrange_eval(nodes, j, xs + eps) - lagrange_eval(nodes, j, xs - eps)) / (2 * eps)
-        assert np.allclose(lagrange_deriv(nodes, j, xs), fd, atol=1e-8)
+    fd = (lagrange_values_at(nodes, xs + eps) - lagrange_values_at(nodes, xs - eps)) / (2 * eps)
+    assert np.allclose(lagrange_derivs_at(nodes, xs), fd, atol=1e-8)
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_lagrange_tables_match_product_formulas(p):
+    nodes = gauss_lobatto_nodes(p)
+    xs = np.random.default_rng(p).uniform(-1.0, 1.0, 11)
+    vals = lagrange_values_at(nodes, xs)
+    ders = lagrange_derivs_at(nodes, xs)
+    vals_ref = np.array([[lag(nodes, j, x) for x in xs] for j in range(p + 1)])
+    ders_ref = np.array([[dlag(nodes, j, x) for x in xs] for j in range(p + 1)])
+    assert np.allclose(vals, vals_ref, atol=1e-14, rtol=0)
+    assert np.allclose(ders, ders_ref, atol=1e-13, rtol=0)  # |L_j'| reaches ~17 at p = 7
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
