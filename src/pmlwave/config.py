@@ -72,8 +72,8 @@ class SimulationConfig:
         return (self.p_values if self.p_values is not None else (1, 2),
                 self.h_values if self.h_values is not None else (0.6, 0.3))
 
-    def inner_box(self, domain=None) -> tuple:
-        x0, x1, y0, y1 = domain if domain is not None else self.domain
+    def inner_box(self) -> tuple:
+        x0, x1, y0, y1 = self.domain
         d = self.delta_pml
         return (x0 + d, x1 - d, y0 + d, y1 - d)
 
@@ -152,6 +152,8 @@ def validate_config(cfg: SimulationConfig) -> None:
     checked on domain and reference_domain at h and every h_values entry.
     For the convergence experiment those entries are its study grid,
     defaults included; the other experiments check only configured ones.
+    The experiments that compare with a reference run also need its grid to
+    contain the damped one, node for node. Snapshot times lie in [0, t_end].
     """
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {cfg.experiment!r}")
@@ -187,6 +189,11 @@ def validate_config(cfg: SimulationConfig) -> None:
         x0, x1, y0, y1 = dom
         if x1 <= x0 or y1 <= y0:
             raise ConfigError(f"{name} is degenerate: {dom}")
+    compared = cfg.experiment in ("pml-error", "convergence")
+    (x0, x1, y0, y1), (rx0, rx1, ry0, ry1) = cfg.domain, cfg.reference_domain
+    if compared and not (rx0 <= x0 and x1 <= rx1 and ry0 <= y0 and y1 <= ry1):
+        raise ConfigError(f"reference_domain {list(cfg.reference_domain)} does not contain "
+                          f"domain {list(cfg.domain)}")
     xi0, xi1, yi0, yi1 = cfg.inner_box()
     if xi1 <= xi0 or yi1 <= yi0:
         raise ConfigError("delta_pml leaves no interior: the layer covers the whole domain")
@@ -209,6 +216,11 @@ def validate_config(cfg: SimulationConfig) -> None:
                     check_interfaces_on_grid(dom, h, cfg.interfaces)
             except ConfigError as exc:
                 raise ConfigError(f"{name} at {key} = {h}: {exc}") from exc
+        # Both side lengths are multiples of h, so the lower corners' offset decides.
+        for offset in (x0 - rx0, y0 - ry0) if compared else ():
+            if abs(round(offset / h) * h - offset) > 1e-9 * offset:  # as in element_counts
+                raise ConfigError(f"reference_domain at {key} = {h}: its grid is offset from "
+                                  f"the domain's by {offset:g}, not a multiple of h")
         for p in (cfg.p, *p_values):  # the layer strength depends on h and p
             try:
                 replace(cfg, p=int(p), h=h).pml_config()
@@ -216,6 +228,9 @@ def validate_config(cfg: SimulationConfig) -> None:
                 raise ConfigError(f"delta_pml, c0, d0, pml_exponent at p = {p}, "
                                   f"{key} = {h}: {exc}") from exc
     snapshot_steps(cfg.snapshot_times, cfg.dt)
+    t_end = cfg.effective_t_end()
+    if outside := [t for t in cfg.snapshot_times if not -1e-9 <= t <= t_end + 1e-9]:
+        raise ConfigError(f"snapshot_times {outside} lie outside the run [0, {t_end:g}]")
 
 
 def parse_config(path, experiment: str | None = None) -> SimulationConfig:

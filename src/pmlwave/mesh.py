@@ -252,11 +252,6 @@ def check_interfaces_on_grid(domain, h: float, interfaces) -> None:
             )
 
 
-def check_interface_alignment(mesh: MeshQ, material: MaterialField) -> None:
-    """check_interfaces_on_grid for the lines of a built mesh."""
-    check_interfaces_on_grid(mesh.domain, mesh.hy, material.interfaces)
-
-
 def physical_quad_points(mesh: MeshQ, basis: BasisQp):
     """Physical coordinates of all quadrature points: two (n_elem, n_q) arrays."""
     q = basis.quad.nodes
@@ -278,8 +273,8 @@ def constant_material(mesh: MeshQ, basis: BasisQp, material: MaterialField):
     return float(kappa.flat[0]), float(rho.flat[0])
 
 
-def nodes_in_box(dofmap: DofMap, box, tol: float = 1e-9) -> np.ndarray:
-    """Indices of DOF nodes inside box = (x0, x1, y0, y1), inclusive.
+def nodes_in_box(dofmap: DofMap, box) -> np.ndarray:
+    """Indices of DOF nodes inside box = (x0, x1, y0, y1), inclusive, to within 1e-9.
 
     Order follows the global numbering, so two meshes sharing node
     coordinates inside the box list them identically.
@@ -287,5 +282,6 @@ def nodes_in_box(dofmap: DofMap, box, tol: float = 1e-9) -> np.ndarray:
     bx0, bx1, by0, by1 = box
     x = dofmap.node_coords[:, 0]
     y = dofmap.node_coords[:, 1]
+    tol = 1e-9
     mask = (x >= bx0 - tol) & (x <= bx1 + tol) & (y >= by0 - tol) & (y <= by1 + tol)
     return np.nonzero(mask)[0]

@@ -71,8 +71,7 @@ def export_snapshot_csv(u: np.ndarray, dofmap: DofMap, path) -> None:
     write_csv(path, ["x", "y", "u"], rows)
 
 
-def export_snapshot_vtk(u: np.ndarray, mesh: MeshQ, basis: BasisQp, path,
-                        field: str = "u") -> None:
+def export_snapshot_vtk(u: np.ndarray, mesh: MeshQ, basis: BasisQp, path) -> None:
     """Legacy-ASCII VTK STRUCTURED_POINTS snapshot on the uniform lattice."""
     vals = uniform_lattice_values(u, mesh, basis)
     nyp, nxp = vals.shape
@@ -88,7 +87,7 @@ def export_snapshot_vtk(u: np.ndarray, mesh: MeshQ, basis: BasisQp, path,
         fh.write(f"ORIGIN {format_float(mesh.x0)} {format_float(mesh.y0)} 0\n")
         fh.write(f"SPACING {format_float(sx)} {format_float(sy)} 1\n")
         fh.write(f"POINT_DATA {nxp * nyp}\n")
-        fh.write(f"SCALARS {field} double 1\n")
+        fh.write("SCALARS u double 1\n")
         fh.write("LOOKUP_TABLE default\n")
         for row in vals:  # x fastest, matching VTK point order
             fh.write(" ".join(format_float(v) for v in row) + "\n")

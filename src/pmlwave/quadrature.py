@@ -114,9 +114,7 @@ def tensor_basis_tables(p: int) -> BasisQp:
     Assembly must never re-evaluate Lagrange products; everything needed at
     the (p+1)^2 quadrature points lives here.
     """
-    if not isinstance(p, (int, np.integer)) or not 1 <= p <= MAX_ORDER:
-        raise ValueError(f"basis order must be in 1..{MAX_ORDER}, got {p}")
-    gll = gauss_lobatto_nodes(p)
+    gll = gauss_lobatto_nodes(p)  # refuses p outside 1..MAX_ORDER
     quad = gauss_legendre_rule(p + 1)
     val1d = lagrange_values_at(gll, quad.nodes)
     der1d = lagrange_derivs_at(gll, quad.nodes)

@@ -46,31 +46,6 @@ from .quadrature import BasisQp
 from .solvers import pcg
 
 
-@dataclass(frozen=True)
-class StateView:
-    """Named views u, v, phi_x, phi_y into a flat state vector y at time t."""
-
-    y: np.ndarray
-    n_u: int
-    t: float = 0.0
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.y[:self.n_u]
-
-    @property
-    def v(self) -> np.ndarray:
-        return self.y[self.n_u:2 * self.n_u]
-
-    @property
-    def phi_x(self) -> np.ndarray:
-        return np.split(self.y[2 * self.n_u:], 2)[0]
-
-    @property
-    def phi_y(self) -> np.ndarray:
-        return np.split(self.y[2 * self.n_u:], 2)[1]
-
-
 @dataclass
 class EnergySample:
     t: float
@@ -84,7 +59,7 @@ class RunResult:
     snapshots: list = field(default_factory=list)   # (t, u.copy()) pairs
     times: np.ndarray | None = None
     amplitudes: np.ndarray | None = None            # max |u| over watched nodes
-    final_state: StateView | None = None
+    final_state: np.ndarray | None = None           # the flat y after the last step
 
 
 def energy_matrices(ops: Operators):
@@ -154,11 +129,9 @@ def _step_operators(ops: Operators, live_phi: np.ndarray) -> StepOperators:
 class WaveStepper:
     """Owns the combined operators and the mass factorizations."""
 
-    def __init__(self, ops: Operators, forcing: GaussianPulse | None = None,
-                 forcing_cutoff: float | None = None):
+    def __init__(self, ops: Operators, forcing: GaussianPulse | None = None):
         self.ops = ops
         self.forcing = forcing
-        self.forcing_cutoff = forcing_cutoff
         self.live_phi = live_phi = _live_phi_dofs(ops)
         self.cops = _step_operators(ops, live_phi)
         self.n_state = 2 * ops.n_u + 2 * live_phi.size
@@ -181,20 +154,13 @@ class WaveStepper:
         else:
             self._f_spatial = None
 
-    def _envelope(self, t: float) -> float:
-        if self._f_spatial is None:
-            return 0.0
-        if self.forcing_cutoff is not None and t > self.forcing_cutoff:
-            return 0.0
-        return float(self.forcing.envelope(t))
-
     def rhs(self, y: np.ndarray, t: float, out: np.ndarray | None = None) -> np.ndarray:
         """Time derivative of the flat state y at time t, written into out when given."""
         n = self.ops.n_u
         if out is None:
             out = np.empty_like(y)
         g = self.cops.F @ y
-        env = self._envelope(t)
+        env = 0.0 if self._f_spatial is None else float(self.forcing.envelope(t))
         if env != 0.0:
             g[:n] += env * self._f_spatial
         dv, _ = pcg(self.cops.M_u, g[:n], self._mass_inv, rtol=1e-12)
@@ -209,39 +175,32 @@ class WaveStepper:
 
         Dirichlet entries of the result are re-zeroed; y is left unchanged.
         """
-        new = _rk4_step(self.rhs, y, t, dt, self._stages)
+        if dt <= 0:
+            raise ValueError(f"time step must be positive, got {dt}")
+        # k holds the stage just computed and acc the running k1 + 2 k2 + 2 k3 + k4,
+        # summed in that order; the returned array serves as the stage argument.
+        k, acc = self._stages
+        new = np.empty_like(y)
+        half = 0.5 * dt
+        self.rhs(y, t, out=acc)
+        np.multiply(acc, half, out=new)
+        new += y
+        self.rhs(new, t + half, out=k)
+        np.multiply(k, half, out=new)
+        new += y
+        k *= 2.0
+        acc += k
+        self.rhs(new, t + half, out=k)
+        np.multiply(k, dt, out=new)
+        new += y
+        k *= 2.0
+        acc += k
+        self.rhs(new, t + dt, out=k)
+        acc += k
+        acc *= dt / 6.0
+        np.add(y, acc, out=new)
         new[self.pinned] = 0.0
         return new
-
-
-def _rk4_step(rhs, y: np.ndarray, t: float, dt: float, stages: np.ndarray) -> np.ndarray:
-    """One classical RK4 step of y' = rhs(y, t, out) from (y, t), into a new array."""
-    if dt <= 0:
-        raise ValueError(f"time step must be positive, got {dt}")
-    # The (2, y.size) buffer stages holds in k the stage just computed and in acc
-    # the running k1 + 2 k2 + 2 k3 + k4, summed in that order; the returned array
-    # serves as the stage argument.
-    k, acc = stages
-    new = np.empty_like(y)
-    half = 0.5 * dt
-    rhs(y, t, out=acc)
-    np.multiply(acc, half, out=new)
-    new += y
-    rhs(new, t + half, out=k)
-    np.multiply(k, half, out=new)
-    new += y
-    k *= 2.0
-    acc += k
-    rhs(new, t + half, out=k)
-    np.multiply(k, dt, out=new)
-    new += y
-    k *= 2.0
-    acc += k
-    rhs(new, t + dt, out=k)
-    acc += k
-    acc *= dt / 6.0
-    np.add(y, acc, out=new)
-    return new
 
 
 def snapshot_steps(snapshot_times, dt: float) -> dict:
@@ -306,7 +265,7 @@ def _steps(step, y: np.ndarray, n: int, dt: float, n_steps: int):
 
 
 def trajectory(ops: Operators, forcing: GaussianPulse | None, dt: float, t_end: float,
-               initial: tuple | None = None, forcing_cutoff: float | None = None):
+               initial: tuple | None = None):
     """Yield the state y after each RK4 step k = 0..step_count(dt, t_end).
 
     initial is an optional (u, v) pair, copied into the state; phi starts at
@@ -316,7 +275,7 @@ def trajectory(ops: Operators, forcing: GaussianPulse | None, dt: float, t_end: 
     """
     n_steps = step_count(dt, t_end)
     _refuse_unstable(dt, ops.mesh, ops.basis, ops.material, ops.r)
-    stepper = WaveStepper(ops, forcing, forcing_cutoff=forcing_cutoff)
+    stepper = WaveStepper(ops, forcing)
     n = ops.n_u
     y = np.zeros(stepper.n_state)
     if initial is not None:
@@ -408,7 +367,6 @@ def run(
     energy_stride: int = 0,
     watch_nodes=None,
     snapshot_times=(),
-    forcing_cutoff: float | None = None,
 ) -> RunResult:
     """Step a trajectory to t_end and keep what the recorders ask for.
 
@@ -424,7 +382,7 @@ def run(
     if watch_nodes is not None:
         watch_nodes = np.asarray(watch_nodes)
         result.amplitudes = np.empty(n_steps + 1)
-    for k, y in enumerate(trajectory(ops, forcing, dt, t_end, initial, forcing_cutoff)):
+    for k, y in enumerate(trajectory(ops, forcing, dt, t_end, initial)):
         u = y[:n]
         if watch_nodes is not None:
             result.amplitudes[k] = float(np.max(np.abs(u[watch_nodes]))) if len(watch_nodes) else 0.0
@@ -434,5 +392,5 @@ def run(
             result.samples.append(EnergySample(t=k * dt, E=E, max_amp=amp))
         if k in snap_steps:
             result.snapshots.append((snap_steps[k], u.copy()))
-    result.final_state = StateView(y, n, n_steps * dt)
+    result.final_state = y
     return result

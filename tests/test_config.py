@@ -71,6 +71,28 @@ def test_snapshot_times_must_divide_dt():
     config_from_dict({"snapshot_times": [2.0, 4.0]})
 
 
+def test_snapshot_times_must_lie_in_the_run():
+    for late_or_early in (3.0, -0.1):
+        with pytest.raises(ConfigError, match=r"snapshot_times \[.*\] lie outside the run"):
+            config_from_dict({"t_end": 0.5, "snapshot_times": [0.2, late_or_early]})
+    config_from_dict({"t_end": 0.5, "snapshot_times": [0.0, 0.5]})  # both ends included
+    config_from_dict({"material": "layered", "snapshot_times": [14.0]})  # the default t_end
+
+
+def test_reference_grid_must_hold_the_domain_grid():
+    # 6/0.8 is no integer, so the (+-12)^2 grid at h = 0.8 is offset from the (+-6)^2 one.
+    for experiment in ("pml-error", "convergence"):
+        with pytest.raises(ConfigError, match="reference_domain at h = 0.8: .*offset"):
+            config_from_dict({"h": 0.8}, experiment=experiment)
+    with pytest.raises(ConfigError, match="reference_domain at h_values = 0.8: .*offset"):
+        config_from_dict({"h_values": [0.6, 0.8]}, experiment="convergence")
+    with pytest.raises(ConfigError, match="reference_domain .* does not contain domain"):
+        config_from_dict({"reference_domain": [-3, 3, -3, 3]}, experiment="pml-error")
+    config_from_dict({"h": 0.8})  # no reference run to match
+    # 6.3 is 21 steps of 0.3: an asymmetric reference domain is fine when it is on the grid.
+    config_from_dict({"reference_domain": [-12.3, 11.7, -12, 12]}, experiment="pml-error")
+
+
 def test_layered_interface_alignment():
     config_from_dict({"material": "layered"})  # +-2.4 align with h=0.3
     with pytest.raises(ConfigError, match="interface"):

@@ -13,7 +13,7 @@ from pmlwave.experiments import (LAPLACE_COLUMNS, LongtimeResult, _matched_inner
                                  run_convergence_study, run_laplace_battery,
                                  run_longtime_experiment, run_pml_error_experiment,
                                  run_simulation)
-from pmlwave.mesh import build_cartesian_mesh, dof_map, physical_quad_points
+from pmlwave.mesh import build_cartesian_mesh, dof_map, nodes_in_box, physical_quad_points
 from pmlwave.quadrature import tensor_basis_tables
 from pmlwave.timestepper import WaveStepper
 
@@ -43,7 +43,7 @@ def test_build_problem_damping_switch():
     assert free.ops.B_x.nnz == 0 and free.ops.G_y.nnz == 0
     assert free.ops.M_d1.nnz == free.ops.M_d0.nnz == free.ops.M_phid_x.nnz == 0
     ref = build_problem(cfg, domain=cfg.reference_domain, damped=False)
-    assert ref.mesh.nx == 2 * free.mesh.nx
+    assert ref.ops.mesh.nx == 2 * free.ops.mesh.nx
 
 
 def test_run_simulation_recording():
@@ -54,7 +54,10 @@ def test_run_simulation_recording():
     # energy sampled every 5 steps: k = 0, 5, 10
     assert len(result.samples) == 3
     assert [t for t, _ in result.snapshots] == [0.05]
-    assert result.final_state.t == pytest.approx(0.1)
+    assert result.times[-1] == pytest.approx(0.1)
+    # final_state is the flat y after the last step; its u gives the last amplitude.
+    watch = nodes_in_box(prob.ops.dof_u, cfg.inner_box())
+    assert np.max(np.abs(result.final_state[:prob.ops.n_u][watch])) == result.amplitudes[-1]
 
 
 def test_matched_inner_nodes_agree():

@@ -136,3 +136,68 @@ def test_every_function_has_a_caller_or_is_exported(path):
     referenced = referenced_names(p.read_text(encoding="utf-8") for p in CALLERS)
     assert uncalled_functions(path.read_text(encoding="utf-8"), referenced,
                               pmlwave.__all__) == []
+
+
+# Default-valued parameters that only tests set, each kept on purpose.
+TEST_SEAMS = {
+    "run.initial": "tests start free runs from a given (u, v) state",
+    "assemble_stiffness.direction": "the tests' reference for the Laplace K_x and K_y factors",
+    "pcg.maxiter": "reaches the non-convergence error",
+}
+
+
+def unset_defaults(module_sources, caller_sources) -> list:
+    """Default-valued parameters of module functions and methods that no caller sets.
+
+    A parameter counts as set by a call of its function's name, or of its class's name for
+    __init__, that passes it by keyword or by position (a *args or **kwargs sets them all).
+    Methods drop their first parameter, which the attribute call binds. Calls match by
+    bare name, so a same-named call elsewhere can hide an unset parameter, never invent one.
+    """
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+    params = {}  # call name -> [(qualified name, position or None, keyword)]
+    for source in module_sources:
+        tree = ast.parse(source)
+        funcs = [(node.name, node.name, node, 0) for node in tree.body if isinstance(node, kinds)]
+        funcs += [(cls.name if node.name == "__init__" else node.name,
+                   f"{cls.name}.{node.name}", node, 1)
+                  for cls in tree.body if isinstance(cls, ast.ClassDef)
+                  for node in cls.body if isinstance(node, kinds)]
+        for call, qual, fn, bound in funcs:
+            a = fn.args
+            positional = (a.posonlyargs + a.args)[bound:]
+            pos_defaults = positional[len(positional) - len(a.defaults):]
+            kw_defaults = [p for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            params.setdefault(call, []).extend(
+                [(f"{qual}.{p.arg}", positional.index(p), p.arg) for p in pos_defaults]
+                + [(f"{qual}.{p.arg}", None, p.arg) for p in kw_defaults])
+    unset = {qual for entries in params.values() for qual, _, _ in entries}
+    for source in caller_sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            starred = [i for i, arg in enumerate(node.args) if isinstance(arg, ast.Starred)]
+            n_pos = starred[0] if starred else len(node.args)
+            keywords = {kw.arg for kw in node.keywords}
+            for qual, pos, kw in params.get(name, ()):
+                if (kw in keywords or None in keywords or starred
+                        or (pos is not None and pos < n_pos)):
+                    unset.discard(qual)
+    return sorted(unset)
+
+
+def test_scan_finds_a_default_no_caller_sets():
+    module = ("def f(a, b=1, *, c=2, d=3):\n    return a, b, c, d\n\n"
+              "class K:\n"
+              "    def __init__(self, x=0):\n        self.x = x\n"
+              "    def m(self, y=0, z=0):\n        return y, z\n")
+    caller = "f(0, 1, d=4)\nK(5).m(6)\n"
+    assert unset_defaults([module], [caller]) == ["K.m.z", "f.c"]
+
+
+def test_every_default_has_a_caller_outside_tests():
+    callers = [p for p in CALLERS if not p.name.startswith("test_")]
+    found = unset_defaults([p.read_text(encoding="utf-8") for p in MODULES],
+                           [p.read_text(encoding="utf-8") for p in callers])
+    assert found == sorted(TEST_SEAMS)

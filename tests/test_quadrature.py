@@ -8,15 +8,7 @@ from pmlwave.quadrature import (gauss_legendre_rule, gauss_lobatto_nodes,
                                 lagrange_derivs_at, lagrange_values_at,
                                 tensor_basis_tables)
 
-from oracles import dlag, lag, oracle_gll_nodes
-
-
-@pytest.mark.parametrize("n", range(1, 17))
-def test_gl_rule_matches_numpy(n):
-    rule = gauss_legendre_rule(n)
-    x_ref, w_ref = npleg.leggauss(n)
-    assert np.allclose(rule.nodes, x_ref, atol=1e-14, rtol=0)
-    assert np.allclose(rule.weights, w_ref, atol=1e-14, rtol=0)
+from oracles import dlag, lag
 
 
 @pytest.mark.parametrize("n", range(1, 17))
@@ -49,9 +41,15 @@ def test_gll_known_values():
 
 
 @pytest.mark.parametrize("p", range(1, 9))
-def test_gll_against_legroots(p):
+def test_gll_rule_exactness(p):
+    # With the Lobatto weights 2 / (p (p+1) P_p(x_i)^2) the p+1 nodes integrate every
+    # polynomial of degree <= 2p-1 exactly, which pins the interior nodes to the roots of P_p'.
     nodes = gauss_lobatto_nodes(p)
-    assert np.allclose(nodes, oracle_gll_nodes(p), atol=1e-13, rtol=0)
+    weights = 2.0 / (p * (p + 1) * npleg.legval(nodes, [0] * p + [1]) ** 2)
+    for k in range(2 * p):
+        approx = np.sum(weights * nodes**k)
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(approx - exact) <= 1e-14
     assert np.allclose(nodes, -nodes[::-1], atol=1e-14)  # symmetric
     assert np.all(np.diff(nodes) > 0)
 
