@@ -59,18 +59,34 @@ def test_unknown_config_key(tmp_path, capsys):
     assert "wavespeed" in capsys.readouterr().err
 
 
-def test_config_errors_found_before_any_run(tmp_path, capsys):
+@pytest.mark.parametrize("command, data, key", [
     # An offset reference grid used to fail after assembly with a RuntimeError, and
     # snapshot times past t_end or below 0 used to be dropped without a word.
-    bad = (("pml-error", {"h": 0.8}, "reference_domain at h = 0.8"),
-           ("simulate", {"t_end": 0.5, "snapshot_times": [0.2, 3.0, -0.1]},
-            "snapshot_times [3.0, -0.1]"))
-    for command, data, key in bad:
-        path = tmp_path / f"{command}.json"
-        path.write_text(json.dumps(data))
-        assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 2
-        assert key in capsys.readouterr().err
-        assert not (tmp_path / command).exists()
+    ("pml-error", {"h": 0.8}, "reference_domain at h = 0.8"),
+    ("simulate", {"t_end": 0.5, "snapshot_times": [0.2, 3.0, -0.1]},
+     "snapshot_times [3.0, -0.1]"),
+], ids=["pml-error-offset-reference", "simulate-snapshot-outside"])
+def test_config_errors_found_before_any_run(command, data, key, tmp_path, capsys):
+    path = tmp_path / f"{command}.json"
+    path.write_text(json.dumps(data))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / command).exists()
+
+
+def test_snapshot_times_option_outside_the_run(micro_config, tmp_path, capsys):
+    out = tmp_path / "out"  # micro's t_end is 0.1
+    assert main(["simulate", "--config", micro_config, "--out", str(out),
+                 "--snapshot-times", "0.05,0.2"]) == 2
+    assert "snapshot_times [0.2]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_profile_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["pml-error", "--profile", "huge"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'huge'" in capsys.readouterr().err
 
 
 def test_simulate_outputs(micro_config, tmp_path, capsys):

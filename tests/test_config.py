@@ -71,26 +71,45 @@ def test_snapshot_times_must_divide_dt():
     config_from_dict({"snapshot_times": [2.0, 4.0]})
 
 
-def test_snapshot_times_must_lie_in_the_run():
-    for late_or_early in (3.0, -0.1):
-        with pytest.raises(ConfigError, match=r"snapshot_times \[.*\] lie outside the run"):
-            config_from_dict({"t_end": 0.5, "snapshot_times": [0.2, late_or_early]})
-    config_from_dict({"t_end": 0.5, "snapshot_times": [0.0, 0.5]})  # both ends included
-    config_from_dict({"material": "layered", "snapshot_times": [14.0]})  # the default t_end
+@pytest.mark.parametrize("late_or_early", [3.0, 0.51, -0.1])  # 0.51 is one step past
+def test_snapshot_times_must_lie_in_the_run(late_or_early):
+    with pytest.raises(ConfigError, match=r"snapshot_times \[.*\] lie outside the run"):
+        config_from_dict({"t_end": 0.5, "snapshot_times": [0.2, late_or_early]})
 
 
-def test_reference_grid_must_hold_the_domain_grid():
+@pytest.mark.parametrize("data", [
+    {"t_end": 0.5, "snapshot_times": [0.0, 0.5]},  # both ends included
+    {"material": "layered", "snapshot_times": [14.0]},  # the default t_end
+], ids=["both-ends", "layered-default-t-end"])
+def test_snapshot_times_at_the_ends_of_the_run_pass(data):
+    config_from_dict(data)
+
+
+@pytest.mark.parametrize("experiment, data, message", [
     # 6/0.8 is no integer, so the (+-12)^2 grid at h = 0.8 is offset from the (+-6)^2 one.
-    for experiment in ("pml-error", "convergence"):
-        with pytest.raises(ConfigError, match="reference_domain at h = 0.8: .*offset"):
-            config_from_dict({"h": 0.8}, experiment=experiment)
-    with pytest.raises(ConfigError, match="reference_domain at h_values = 0.8: .*offset"):
-        config_from_dict({"h_values": [0.6, 0.8]}, experiment="convergence")
-    with pytest.raises(ConfigError, match="reference_domain .* does not contain domain"):
-        config_from_dict({"reference_domain": [-3, 3, -3, 3]}, experiment="pml-error")
-    config_from_dict({"h": 0.8})  # no reference run to match
+    ("pml-error", {"h": 0.8}, "reference_domain at h = 0.8: .*offset"),
+    ("convergence", {"h": 0.8}, "reference_domain at h = 0.8: .*offset"),
+    ("convergence", {"h_values": [0.6, 0.8]}, "reference_domain at h_values = 0.8: .*offset"),
+    # 6.1 is no multiple of 0.3, and only the y corners disagree.
+    ("pml-error", {"reference_domain": [-12, 12, -12.1, 11.9]},
+     "reference_domain at h = 0.3: .*offset .* by 6.1"),
+    ("pml-error", {"reference_domain": [-3, 3, -3, 3]}, "does not contain domain"),
+    ("convergence", {"reference_domain": [-3, 3, -3, 3]}, "does not contain domain"),
+], ids=["pml-error-h", "convergence-h", "convergence-h_values", "pml-error-y-offset",
+        "pml-error-inside", "convergence-inside"])
+def test_reference_grid_must_hold_the_domain_grid(experiment, data, message):
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(data, experiment=experiment)
+
+
+@pytest.mark.parametrize("experiment, data", [
+    ("simulate", {"h": 0.8}),  # no reference run to match
     # 6.3 is 21 steps of 0.3: an asymmetric reference domain is fine when it is on the grid.
-    config_from_dict({"reference_domain": [-12.3, 11.7, -12, 12]}, experiment="pml-error")
+    ("pml-error", {"reference_domain": [-12.3, 11.7, -12, 12]}),
+    ("pml-error", {"reference_domain": [-6, 6, -6, 6]}),  # the domain itself
+], ids=["simulate-h", "pml-error-asymmetric", "pml-error-same"])
+def test_reference_grids_on_the_domain_grid_pass(experiment, data):
+    config_from_dict(data, experiment=experiment)
 
 
 def test_layered_interface_alignment():

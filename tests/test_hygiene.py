@@ -196,6 +196,13 @@ def test_scan_finds_a_default_no_caller_sets():
     assert unset_defaults([module], [caller]) == ["K.m.z", "f.c"]
 
 
+def test_scan_counts_unpacked_arguments_as_setting_every_default():
+    module = "def f(a, b=1, *, c=2):\n    return a, b, c\n\ndef g(x=0):\n    return x\n"
+    assert unset_defaults([module], ["f(*args)\ng(**kw)\n"]) == []
+    assert unset_defaults([module], ["f(0, *rest)\n"]) == ["g.x"]
+    assert unset_defaults([module], ["f(0)\ng()\n"]) == ["f.b", "f.c", "g.x"]
+
+
 def test_every_default_has_a_caller_outside_tests():
     callers = [p for p in CALLERS if not p.name.startswith("test_")]
     found = unset_defaults([p.read_text(encoding="utf-8") for p in MODULES],
