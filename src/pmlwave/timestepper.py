@@ -8,14 +8,14 @@ phi starts at zero, so the dropped entries would stay identically zero;
 undamped runs carry no phi at all.
 
 Each right-hand-side evaluation applies one stacked sparse operator to y,
-solves the continuous mass by CG (relative residual 1e-12) preconditioned
-with its tensor-product inverse, which is exact for material varying only
-in y so that one iteration suffices, and solves the discontinuous mass with
-one matrix product against the explicit inverse of the shared element
-block. rhs writes into a caller's buffer; rk4_step keeps the current stage
-and the running weighted sum of the stages in two buffers allocated once per
-stepper and builds each stage argument in the array it returns, so a step
-allocates little beyond the product, the CG vectors and the new state.
+solves the continuous mass with its tensor-product inverse, which is exact
+for material varying only in y (WaveStepper refuses any other), and solves
+the discontinuous mass with one matrix product against the explicit inverse
+of the shared element block. rhs writes into a caller's buffer; rk4_step
+keeps the current stage and the running weighted sum of the stages in two
+buffers allocated once per stepper and builds each stage argument in the
+array it returns, so a step allocates little beyond the product, the mass
+solve and the new state.
 trajectory yields the state after each fixed step, so a consumer keeps
 only what it needs: run records energy, amplitudes and snapshots, and the
 layer-error experiment compares the damped run at every step with a
@@ -43,7 +43,6 @@ from .assembly import (
 from .errors import ConfigError, NumericalError
 from .mesh import DofMap, MaterialField, MeshQ, constant_material, physical_quad_points
 from .quadrature import BasisQp
-from .solvers import pcg
 
 
 @dataclass
@@ -85,7 +84,8 @@ def _live_phi_dofs(ops: Operators) -> np.ndarray:
 class StepOperators:
     """The constrained operators one rhs applies to y = [u, v, phi_x, phi_y].
 
-    M_u is the continuous mass. F stacks the right sides of the u and phi
+    M_u is the continuous mass, against which WaveStepper checks its
+    tensor-product inverse. F stacks the right sides of the u and phi
     equations, so one product F y gives both:
 
         F = [-(K + M_d0 + R_theta), -(M_d1 + R_v), -B_x,       -B_y      ]
@@ -127,7 +127,8 @@ def _step_operators(ops: Operators, live_phi: np.ndarray) -> StepOperators:
 
 
 class WaveStepper:
-    """Owns the combined operators and the mass factorizations."""
+    """Owns the combined operators and the mass inverses; ConfigError when the
+    tensor-product inverse of M_u is not exact, as for material varying in x."""
 
     def __init__(self, ops: Operators, forcing: GaussianPulse | None = None):
         self.ops = ops
@@ -140,6 +141,14 @@ class WaveStepper:
         self._mass_inv = tensor_mass_inverse(
             ops.mesh, ops.basis, lambda x, y: 1.0 / ops.material.kappa(x, y),
             pinned=ops.dirichlet is not None)
+        # rhs applies it as M_u's exact inverse: check that once, on a fixed probe.
+        # Material varying only in y leaves round-off, below 1e-15.
+        b = np.random.default_rng(0).standard_normal(ops.n_u)
+        miss = np.linalg.norm(self.cops.M_u @ self._mass_inv(b) - b) / np.linalg.norm(b)
+        if not miss <= 1e-12:
+            raise ConfigError(f"the material varies in x: the tensor-product mass inverse "
+                              f"misses M_u by {miss:.2e} relative, and the stepper needs "
+                              f"kappa to vary only in y")
         # cho_factor is the SPD check; each rhs multiplies the element rows
         # of the phi right side by the transposed inverse in one GEMM.
         M_phi = ops.jac * ops.M_phi_local
@@ -163,9 +172,8 @@ class WaveStepper:
         env = 0.0 if self._f_spatial is None else float(self.forcing.envelope(t))
         if env != 0.0:
             g[:n] += env * self._f_spatial
-        dv, _ = pcg(self.cops.M_u, g[:n], self._mass_inv, rtol=1e-12)
         out[:n] = y[n:2 * n]
-        out[n:2 * n] = dv
+        out[n:2 * n] = self._mass_inv(g[:n])
         np.matmul(g[n:].reshape(-1, self._nloc), self._phi_inv_t,
                   out=out[2 * n:].reshape(-1, self._nloc))
         return out

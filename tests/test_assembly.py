@@ -17,7 +17,7 @@ from pmlwave.mesh import (MaterialField, build_cartesian_mesh, dof_map,
                           physical_quad_points)
 from pmlwave.pml import PmlConfig, damping, gamma_2d, upsilon_2d
 from pmlwave.quadrature import tensor_basis_tables
-from pmlwave.timestepper import WaveStepper, _live_phi_dofs
+from pmlwave.timestepper import _live_phi_dofs
 
 from oracles import OracleProblem, lag
 
@@ -576,7 +576,9 @@ def test_live_layer_matches_reference_assembly(case):
     live, live_ref = _live_phi_dofs(ops), _live_phi_dofs(ref)
     assert 0 < live.size < ops.n_phi
     assert np.array_equal(live, live_ref)
-    assert WaveStepper(ops).n_state == WaveStepper(ref).n_state
+    # The state a stepper carries, 2 n_u + 2 live (test_phi_lives_only_on_the_layer);
+    # the wavy material varies in x, which the stepper refuses, so none is built.
+    assert 2 * ops.n_u + 2 * live.size == 2 * ref.n_u + 2 * live_ref.size
 
 
 def y_layered_material():
